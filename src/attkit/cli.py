@@ -50,9 +50,9 @@ from .filters import FilterConfig, run_filter
 from .simulate import (
     NoiseSpec,
     ScenarioSpec,
-    gen_batches_from_truth,
+    filter_errors,
     gen_truth,
-    make_rng,
+    montecarlo_summary,
     simulate_scenario,
 )
 
@@ -123,8 +123,7 @@ def _nearest_rotation(M, name: str) -> np.ndarray:
     # before using them as a comparison baseline.
     if np.abs(M.T @ M - np.eye(3)).max() > 1e-2:
         raise ConfigError(f"{name}: not close to a rotation matrix")
-    U, _, Vt = np.linalg.svd(M)
-    return U @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))]) @ Vt
+    return so3.nearest_rotation(M)
 
 
 def _as_omega(x, name: str) -> np.ndarray:
@@ -320,9 +319,10 @@ def cmd_determine(args) -> int:
         if "weights" in cfg
         else np.ones(refs.shape[1])
     )
-    attitude, factor = wahba.solve_attitude(wahba.build_profile(refs, weights, body))
+    profile = wahba.build_profile(refs, weights, body)
+    attitude, factor = wahba.solve_attitude(profile)
     cost = wahba.alignment_cost(attitude, refs, body, weights)
-    L = refs @ (weights[:, None] * body.T)
+    L = profile.matrix
     stat = float(np.abs(attitude.T @ L - L.T @ attitude).max())
     result = {
         "schema": 1,
@@ -362,19 +362,11 @@ def cmd_propagate(args) -> int:
 def _filter_rows(scn, fcfg, omega_weight, integ, mode):
     truth, batches = simulate_scenario(scn, cfg=integ, omega_weight=omega_weight)
     estimates = run_filter(None, batches, scn.inertia, scn.potential, fcfg, mode=mode)
-    rows = []
-    for st, est, batch in zip(truth, estimates, batches):
-        rows.append(
-            (
-                st.t,
-                so3.principal_angle(est.C_minus, st.C),
-                so3.principal_angle(est.C_plus, st.C),
-                float(np.linalg.norm(so3.vee(est.Omega_minus - st.Omega))),
-                float(np.linalg.norm(so3.vee(est.Omega_plus - st.Omega))),
-                wahba.alignment_cost(est.C_plus, batch.refs, batch.body, batch.weights),
-            )
-        )
-    return rows
+    errors = filter_errors(truth, estimates)
+    return [
+        (st.t, *err, wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights))
+        for st, err, est, b in zip(truth, errors, estimates, batches)
+    ]
 
 
 def _mode_from_flag(flag: str) -> str:
@@ -409,56 +401,6 @@ def cmd_montecarlo(args) -> int:
     summary = montecarlo_summary(scn, fcfg, omega_weight, integ, mode, trials, master)
     _emit(_json_text(summary), args.output)
     return EXIT_OK
-
-
-def montecarlo_summary(
-    scn: ScenarioSpec,
-    fcfg: FilterConfig,
-    omega_weight,
-    integ: IntegratorConfig,
-    mode: str,
-    trials: int,
-    master_seed: int,
-) -> dict:
-    """Aggregate per-epoch filter error statistics over seeded trials.
-
-    The truth trajectory is shared; trial i redraws measurement noise from
-    the counter-based stream keyed by master_seed + i (distinct keys give
-    independent streams, and trial 0 reproduces a single filter run with
-    the same seed). Results are deterministic functions of (scenario,
-    config, trials, master_seed).
-    """
-    metrics = np.empty((trials, len(scn.schedule), 4))
-    truth = gen_truth(scn, integ)
-    for i in range(trials):
-        rng = make_rng(master_seed + i)
-        batches = gen_batches_from_truth(truth, scn, rng, omega_weight=omega_weight)
-        estimates = run_filter(None, batches, scn.inertia, scn.potential, fcfg, mode=mode)
-        for k, (st, est) in enumerate(zip(truth, estimates)):
-            metrics[i, k, 0] = so3.principal_angle(est.C_minus, st.C)
-            metrics[i, k, 1] = so3.principal_angle(est.C_plus, st.C)
-            metrics[i, k, 2] = np.linalg.norm(so3.vee(est.Omega_minus - st.Omega))
-            metrics[i, k, 3] = np.linalg.norm(so3.vee(est.Omega_plus - st.Omega))
-
-    names = ("err_att_pre", "err_att_post", "err_omega_pre", "err_omega_post")
-    per_epoch: dict = {"t": [float(t) for t in scn.schedule]}
-    aggregate: dict = {}
-    for j, name in enumerate(names):
-        col = metrics[:, :, j]
-        per_epoch[f"{name}_mean"] = col.mean(axis=0).tolist()
-        per_epoch[f"{name}_std"] = col.std(axis=0).tolist()
-        per_epoch[f"{name}_max"] = col.max(axis=0).tolist()
-        aggregate[f"{name}_mean"] = float(col.mean())
-        aggregate[f"{name}_std"] = float(col.std())
-        aggregate[f"{name}_max"] = float(col.max())
-    return {
-        "schema": 1,
-        "trials": trials,
-        "master_seed": int(master_seed),
-        "mode": mode,
-        "per_epoch": per_epoch,
-        "aggregate": aggregate,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ multiplications by exponentials of so(3) increments computed with a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -136,10 +137,7 @@ def j_solve(K_mat, M) -> np.ndarray:
     the unique skew solution is recovered through the 3-vector reduction
     (trace(K) I - K)^-1 applied to vee(M).
     """
-    K_mat = np.asarray(K_mat, dtype=float)
-    m = so3.vee(M)
-    red = np.trace(K_mat) * np.eye(3) - K_mat
-    return so3.hat(np.linalg.solve(red, m))
+    return so3.solve_skew_sylvester(K_mat, so3.vee(M))
 
 
 def _moment_matrix(C, G) -> np.ndarray:
@@ -170,19 +168,31 @@ def euler_rhs(
     return C @ Omega, j_solve(inertia.second_moment, rhs)
 
 
-def _make_free_step(K, Kinv):
-    # Munthe-Kaas RK4 step for the free body, on plain floats: numpy call
-    # dispatch dominates the cost at 3-vector sizes.
+def _make_step(K, Kinv, potential):
+    # Munthe-Kaas RK4 step on plain floats: numpy call dispatch dominates the
+    # cost at 3-vector sizes. Only a non-zero potential makes the stage
+    # function depend on the attitude, so only then are the stage attitudes
+    # formed; the free body skips three exponentials per step.
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Kinv
+    gradient = None if potential.is_zero else potential.gradient
 
-    def f(w0, w1, w2):
+    def f(w0, w1, w2, C, s=None):
+        # Angular acceleration at rate w and stage attitude C exp(hat(s)).
         m0 = k00 * w0 + k01 * w1 + k02 * w2
         m1 = k10 * w0 + k11 * w1 + k12 * w2
         m2 = k20 * w0 + k21 * w1 + k22 * w2
         c0 = m1 * w2 - m2 * w1
         c1 = m2 * w0 - m0 * w2
         c2 = m0 * w1 - m1 * w0
+        if gradient is not None:
+            if s is not None:
+                C = C @ so3._exp_vec(s)
+            # vee(G^T C - C^T G)
+            M = np.asarray(gradient(C), dtype=float).T @ C
+            c0 += M[2, 1] - M[1, 2]
+            c1 += M[0, 2] - M[2, 0]
+            c2 += M[1, 0] - M[0, 1]
         return (
             i00 * c0 + i01 * c1 + i02 * c2,
             i10 * c0 + i11 * c1 + i12 * c2,
@@ -191,27 +201,30 @@ def _make_free_step(K, Kinv):
 
     def step(C, w, h):
         w0, w1, w2 = w
-        l1 = f(w0, w1, w2)
         hh = 0.5 * h
-        a2 = _dexpinv_tuple(hh * w0, hh * w1, hh * w2,
-                            w0 + hh * l1[0], w1 + hh * l1[1], w2 + hh * l1[2])
-        l2 = f(w0 + hh * l1[0], w1 + hh * l1[1], w2 + hh * l1[2])
-        a3 = _dexpinv_tuple(hh * a2[0], hh * a2[1], hh * a2[2],
-                            w0 + hh * l2[0], w1 + hh * l2[1], w2 + hh * l2[2])
-        l3 = f(w0 + hh * l2[0], w1 + hh * l2[1], w2 + hh * l2[2])
-        a4 = _dexpinv_tuple(h * a3[0], h * a3[1], h * a3[2],
-                            w0 + h * l3[0], w1 + h * l3[1], w2 + h * l3[2])
-        l4 = f(w0 + h * l3[0], w1 + h * l3[1], w2 + h * l3[2])
-        s = h / 6.0
+        l1 = f(w0, w1, w2, C)
+        s0, s1, s2 = hh * w0, hh * w1, hh * w2
+        u0, u1, u2 = w0 + hh * l1[0], w1 + hh * l1[1], w2 + hh * l1[2]
+        a2 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
+        l2 = f(u0, u1, u2, C, (s0, s1, s2))
+        s0, s1, s2 = hh * a2[0], hh * a2[1], hh * a2[2]
+        u0, u1, u2 = w0 + hh * l2[0], w1 + hh * l2[1], w2 + hh * l2[2]
+        a3 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
+        l3 = f(u0, u1, u2, C, (s0, s1, s2))
+        s0, s1, s2 = h * a3[0], h * a3[1], h * a3[2]
+        u0, u1, u2 = w0 + h * l3[0], w1 + h * l3[1], w2 + h * l3[2]
+        a4 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
+        l4 = f(u0, u1, u2, C, (s0, s1, s2))
+        sixth = h / 6.0
         th = (
-            s * (w0 + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-            s * (w1 + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-            s * (w2 + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
+            sixth * (w0 + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+            sixth * (w1 + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+            sixth * (w2 + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
         )
         wn = (
-            w0 + s * (l1[0] + 2.0 * l2[0] + 2.0 * l3[0] + l4[0]),
-            w1 + s * (l1[1] + 2.0 * l2[1] + 2.0 * l3[1] + l4[1]),
-            w2 + s * (l1[2] + 2.0 * l2[2] + 2.0 * l3[2] + l4[2]),
+            w0 + sixth * (l1[0] + 2.0 * l2[0] + 2.0 * l3[0] + l4[0]),
+            w1 + sixth * (l1[1] + 2.0 * l2[1] + 2.0 * l3[1] + l4[1]),
+            w2 + sixth * (l1[2] + 2.0 * l2[2] + 2.0 * l3[2] + l4[2]),
         )
         return C @ so3._exp_vec(th), wn
 
@@ -237,45 +250,6 @@ def _dexpinv_tuple(s0, s1, s2, w0, w1, w2):
     )
 
 
-def _dexpinv_vec(s, w):
-    c = np.cross(s, w)
-    return w + 0.5 * c + np.cross(s, c) / 12.0
-
-
-def _make_potential_step(K, Kinv, gradient):
-    # General Munthe-Kaas RK4 step; stage attitudes are needed because the
-    # moment depends on C.
-    def f(C, w):
-        Mm = np.asarray(gradient(C), dtype=float).T @ C
-        m = np.cross(K @ w, w)
-        m[0] += Mm[2, 1] - Mm[1, 2]
-        m[1] += Mm[0, 2] - Mm[2, 0]
-        m[2] += Mm[1, 0] - Mm[0, 1]
-        return Kinv @ m
-
-    def step(C, w, h):
-        w = np.asarray(w)
-        l1 = f(C, w)
-        hh = 0.5 * h
-        t2 = hh * w
-        u2 = w + hh * l1
-        a2 = _dexpinv_vec(t2, u2)
-        l2 = f(C @ so3._exp_vec(t2), u2)
-        t3 = hh * a2
-        u3 = w + hh * l2
-        a3 = _dexpinv_vec(t3, u3)
-        l3 = f(C @ so3._exp_vec(t3), u3)
-        t4 = h * a3
-        u4 = w + h * l3
-        a4 = _dexpinv_vec(t4, u4)
-        l4 = f(C @ so3._exp_vec(t4), u4)
-        th = (h / 6.0) * (w + 2.0 * a2 + 2.0 * a3 + a4)
-        wn = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        return C @ so3._exp_vec(th), tuple(wn)
-
-    return step
-
-
 def propagate(
     state: BodyState,
     inertia: InertiaSpec,
@@ -297,14 +271,9 @@ def propagate(
     if span == 0.0:
         return state
 
-    K = inertia.classical
-    if potential.is_zero:
-        step = _make_free_step(
-            tuple(map(tuple, K)), tuple(map(tuple, inertia.classical_inv))
-        )
-    else:
-        step = _make_potential_step(K, inertia.classical_inv, potential.gradient)
-
+    step = _make_step(
+        inertia.classical.tolist(), inertia.classical_inv.tolist(), potential
+    )
     h = cfg.step
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
@@ -313,20 +282,13 @@ def propagate(
 
     C = state.C
     w = tuple(so3.vee(state.Omega))
-    for i in range(n_full):
+    for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
         wmag = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-        if wmag * h > MAX_STEP_ROTATION:
+        if wmag * dt > MAX_STEP_ROTATION:
             raise StepTooLarge(
-                f"step {h} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
+                f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
             )
-        C, w = step(C, w, h)
-    if rem > 0.0:
-        wmag = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-        if wmag * rem > MAX_STEP_ROTATION:
-            raise StepTooLarge(
-                f"step {rem} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
-            )
-        C, w = step(C, w, rem)
+        C, w = step(C, w, dt)
     return BodyState(t=t_end, C=C, Omega=so3.hat(w))
 
 

@@ -23,8 +23,6 @@ from .errors import InconsistentUpdate, MissingGyro, ShapeMismatch
 # Allowed symmetric residual in the rate-matching update equation.
 UPDATE_SYM_TOL = 1e-9
 
-_I3 = np.eye(3)
-
 
 def _eye() -> np.ndarray:
     return np.eye(3)
@@ -125,9 +123,7 @@ def update_omega_no_gyro(C_minus, C_plus, Omega_minus, Pi) -> np.ndarray:
             "positive definite and are the attitudes valid rotations?)"
         )
     skew = 0.5 * (R - R.T)
-    red = np.trace(Pi) * _I3 - Pi
-    m = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
-    return so3.hat(np.linalg.solve(red, m))
+    return so3.solve_skew_sylvester(Pi, [skew[2, 1], skew[0, 2], skew[1, 0]])
 
 
 def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
@@ -148,10 +144,9 @@ def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
         + Gamma @ Omega_minus
         + Omega_minus @ Gamma
     )
-    KG = X + Gamma
-    red = np.trace(KG) * _I3 - KG
-    m = np.array([rhs[2, 1], rhs[0, 2], rhs[1, 0]])
-    return so3.hat(np.linalg.solve(red, m))
+    # Read directly: rhs scales with the weights, which vee's absolute skew
+    # tolerance does not.
+    return so3.solve_skew_sylvester(X + Gamma, [rhs[2, 1], rhs[0, 2], rhs[1, 0]])
 
 
 def initial_estimate(

@@ -23,7 +23,7 @@ _I3 = np.eye(3)
 
 def hat(v) -> np.ndarray:
     """Map a 3-vector to the skew matrix with hat(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
+    x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -59,8 +59,24 @@ def _exp_vec(w) -> np.ndarray:
     else:
         a = np.sin(t) / t
         b = (1.0 - np.cos(t)) / t2
-    W = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    W = hat(w)
     return _I3 + a * W + b * (W @ W)
+
+
+def solve_skew_sylvester(K, m) -> np.ndarray:
+    """Skew solution X of K X + X K = hat(m) for symmetric positive definite K.
+
+    The map X -> K X + X K is an isomorphism of so(3); in axis coordinates
+    it is the matrix trace(K) I - K, so X = hat((trace(K) I - K)^-1 m).
+    """
+    K = np.asarray(K, dtype=float)
+    return hat(np.linalg.solve(np.trace(K) * _I3 - K, m))
+
+
+def nearest_rotation(M) -> np.ndarray:
+    """Rotation closest to M in the Frobenius norm (sign-corrected SVD)."""
+    U, _, Vt = np.linalg.svd(M)
+    return U @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))]) @ Vt
 
 
 def trace_inner(A, B) -> float:

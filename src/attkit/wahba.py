@@ -114,9 +114,7 @@ def solve_attitude(
             raise ReflectionProfile(
                 f"profile determinant {profile.det:.3e} is not positive"
             )
-        U, s, Vt = np.linalg.svd(L)
-        D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))])
-        C = U @ D @ Vt
+        C = so3.nearest_rotation(L)
         S = C @ np.linalg.inv(L)
         return C, 0.5 * (S + S.T)
 
