@@ -7,6 +7,8 @@ relies on. All functions are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotRotation, NotSkew, NotSymmetricPD, ShapeMismatch
@@ -91,12 +93,15 @@ def trace_inner(A, B) -> float:
 def principal_angle(C1, C2) -> float:
     """Rotation angle in [0, pi] separating two rotations.
 
-    Computed as arccos((trace(C1^T C2) - 1) / 2) with the argument clamped
-    to [-1, 1] to guard rounding just outside the domain. Both inputs are
-    assumed to be valid rotations.
+    With R = C1^T C2, computed as atan2(|vee(R - R^T)| / 2, (trace(R) - 1) / 2):
+    unlike the arccos of the trace alone, it keeps full accuracy near 0 and
+    near pi. Both inputs are assumed to be valid rotations.
     """
-    c = (np.tensordot(C1, C2) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
+        np.asarray(C1).T @ np.asarray(C2)
+    ).tolist()
+    x, y, z = r21 - r12, r02 - r20, r10 - r01
+    return math.atan2(0.5 * math.sqrt(x * x + y * y + z * z), 0.5 * (r00 + r11 + r22 - 1.0))
 
 
 def attitude_error_matrix(C_est, C_true) -> np.ndarray:

@@ -129,6 +129,16 @@ def test_principal_angle_identity_and_axis_angle():
         assert abs(so3.principal_angle(np.eye(3), C) - theta) <= 1e-9
 
 
+def test_principal_angle_resolves_tiny_and_near_pi_angles():
+    rng = np.random.default_rng(11)
+    C = so3.random_rotation(rng)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    for theta in (1e-10, 1e-8, np.pi - 1e-9):
+        D = C @ so3.exp_so3(so3.hat(theta * u))
+        assert abs(so3.principal_angle(C, D) - theta) <= 1e-14
+
+
 def test_principal_angle_symmetric():
     rng = np.random.default_rng(9)
     A = so3.random_rotation(rng)
