@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -79,10 +80,18 @@ def _fmt_matrix(M) -> str:
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _finite(text: str) -> float:
+    # json hook for NaN, Infinity and float literals that overflow to inf.
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {text} in config")
+    return x
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -157,13 +166,16 @@ def _parse_potential(obj) -> PotentialModel:
 
 def _parse_schedule(obj) -> np.ndarray:
     if isinstance(obj, dict) and "times" in obj:
-        return np.asarray(obj["times"], dtype=float)
-    if isinstance(obj, dict) and {"start", "dt", "count"} <= set(obj):
-        count = int(obj["count"])
-        return float(obj["start"]) + float(obj["dt"]) * np.arange(count)
-    raise ConfigError(
-        "schedule: expected {\"times\": [...]} or {\"start\", \"dt\", \"count\"}"
-    )
+        times = np.asarray(obj["times"], dtype=float)
+    elif isinstance(obj, dict) and {"start", "dt", "count"} <= set(obj):
+        times = float(obj["start"]) + float(obj["dt"]) * np.arange(int(obj["count"]))
+    else:
+        raise ConfigError(
+            "schedule: expected {\"times\": [...]} or {\"start\", \"dt\", \"count\"}"
+        )
+    if times.size == 0:
+        raise ConfigError("schedule: no epochs")
+    return times
 
 
 def _parse_scenario(obj, seed_override=None) -> ScenarioSpec:
@@ -176,6 +188,8 @@ def _parse_scenario(obj, seed_override=None) -> ScenarioSpec:
     if not isinstance(init_obj, dict) or "attitude" not in init_obj or "omega" not in init_obj:
         raise ConfigError("scenario.init: expected {\"t\", \"attitude\", \"omega\"}")
     noise_obj = obj.get("noise", {})
+    if not isinstance(noise_obj, dict):
+        raise ConfigError("scenario.noise: expected an object")
     seed = noise_obj.get("seed", 0) if seed_override is None else seed_override
     try:
         init = BodyState(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from attkit import cli, reference_case as rc, so3, wahba
 from attkit.cli import (
@@ -256,3 +257,56 @@ def test_montecarlo_requires_trials(tmp_path, capsys):
     path = _write(tmp_path, "mct.json", cfg)
     assert cli.main(["montecarlo", "--config", path]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# malformed run files
+
+def _run_file(**scenario_changes):
+    scn = _scenario_dict(sigma_vec=0.002, count=3)
+    scn.update(scenario_changes)
+    return {"schema": 1, "scenario": scn, "integrator": {"step": 5e-3}}
+
+
+def _argv(command, path):
+    return [command, "--config", str(path)] + (["--trials", "2"] if command == "montecarlo" else [])
+
+
+# Each literal sits where the run used to go on silently (NaN noise is no
+# noise) or end in a traceback (an infinite time span).
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [
+        ("noise", "sigma_vec", "NaN"),
+        ("schedule", "start", "Infinity"),
+        ("schedule", "start", "1e999"),
+        ("init", "t", "-Infinity"),
+    ],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, section, key, literal):
+    cfg = _run_file()
+    cfg["scenario"][section][key] = "@"
+    path = tmp_path / "nf.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+def test_noise_not_an_object_exits_2(tmp_path, capsys, command):
+    path = _write(tmp_path, "nl.json", _run_file(noise=[0.002, 0.0, 1]))
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    assert "scenario.noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize(
+    "schedule",
+    [{"start": 0.05, "dt": 0.05, "count": 0}, {"start": 0.05, "dt": 0.05, "count": -2}, {"times": []}],
+    ids=["count-0", "count-negative", "no-times"],
+)
+def test_empty_schedule_exits_2(tmp_path, capsys, command, schedule):
+    path = _write(tmp_path, "es.json", _run_file(schedule=schedule))
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    assert "schedule" in capsys.readouterr().err
