@@ -168,13 +168,13 @@ def euler_rhs(
     return C @ Omega, j_solve(inertia.second_moment, rhs)
 
 
-def _make_step(K, Kinv, potential):
+def _make_step(inertia, potential):
     # Munthe-Kaas RK4 step on plain floats: numpy call dispatch dominates the
     # cost at 3-vector sizes. Only a non-zero potential makes the stage
     # function depend on the attitude, so only then are the stage attitudes
     # formed; the free body skips three exponentials per step.
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = Kinv
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
     gradient = None if potential.is_zero else potential.gradient
 
     def f(w0, w1, w2, C, s=None):
@@ -271,9 +271,7 @@ def propagate(
     if span == 0.0:
         return state
 
-    step = _make_step(
-        inertia.classical.tolist(), inertia.classical_inv.tolist(), potential
-    )
+    step = _make_step(inertia, potential)
     h = cfg.step
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
