@@ -15,6 +15,8 @@ arrays of 3 row arrays; angular velocities may be 3-vectors or row-major
 skew matrices. Results are written to --output when given, otherwise to
 stdout: CSV time series for propagate/filter, JSON for the others. The
 environment variable ATTKIT_OUTPUT_DIR prefixes relative output paths.
+Numbers must be finite JSON numbers: quoted numbers, booleans and null are
+configuration errors.
 
 Exit codes: 0 success, 2 configuration or input errors, 3 singular
 profile, 4 reflection profile, 5 golden mismatch.
@@ -23,10 +25,12 @@ profile, 4 reflection profile, 5 golden mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .simulate import (
     ScenarioSpec,
     filter_errors,
     gen_truth,
+    make_rng,
     montecarlo_summary,
     simulate_scenario,
 )
@@ -78,23 +83,31 @@ def _fmt_matrix(M) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: every number in a config passes _finite or _finite_int as
+# the file is read, then _number (scalars) or _array (arrays).
 
 def _finite(text: str) -> float:
-    # json hook for NaN, Infinity and float literals that overflow to inf.
+    # json hook for NaN, Infinity and number literals that overflow a float.
     x = float(text)
     if not math.isfinite(x):
         raise ConfigError(f"non-finite number {text} in config")
     return x
 
 
+def _finite_int(text: str) -> int:
+    _finite(text)
+    return int(text)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(
+                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -103,13 +116,29 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(x, name: str, integer: bool = False):
+    # Exact type test: bool is an int subclass. Integers are returned as they
+    # are, so a seed never passes through float.
+    if type(x) is int or (type(x) is float and not integer):
+        return x if integer else float(x)
+    kind = "an integer" if integer else "a number"
+    raise ConfigError(f"{name}: expected {kind}, got {x!r:.40}")
+
+
+def _array(x, name: str) -> np.ndarray:
+    # Numbers or nested arrays of numbers. An object array keeps each JSON
+    # value as it was read, so strings, booleans, null, objects and ragged
+    # nesting (a list left as an element) all show up as non-numbers.
+    arr = np.array(x, dtype=object)
+    if not all(type(v) in (int, float) for v in arr.flat):
+        raise ConfigError(f"{name}: not numeric")
+    return arr.astype(float)
+
+
 def _as_mat3(x, name: str, allow_scalar: bool = False) -> np.ndarray:
-    if allow_scalar and isinstance(x, (int, float)):
-        return float(x) * np.eye(3)
-    try:
-        M = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: not numeric") from exc
+    M = _array(x, name)
+    if allow_scalar and M.ndim == 0:
+        return M * np.eye(3)
     if M.shape == (9,):
         M = M.reshape(3, 3)
     if M.shape != (3, 3):
@@ -118,28 +147,23 @@ def _as_mat3(x, name: str, allow_scalar: bool = False) -> np.ndarray:
 
 
 def _as_rows3(x, name: str) -> np.ndarray:
-    try:
-        M = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: not numeric") from exc
+    M = _array(x, name)
     if M.ndim != 2 or M.shape[0] != 3:
         raise ConfigError(f"{name}: expected 3 row arrays, got shape {M.shape}")
     return M
 
 
-def _nearest_rotation(M, name: str) -> np.ndarray:
+def _as_rotation(x, name: str) -> np.ndarray:
     # Reference attitudes in configs are often rounded; project onto SO(3)
     # before using them as a comparison baseline.
+    M = _as_mat3(x, name)
     if np.abs(M.T @ M - np.eye(3)).max() > 1e-2:
         raise ConfigError(f"{name}: not close to a rotation matrix")
     return so3.nearest_rotation(M)
 
 
 def _as_omega(x, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: not numeric") from exc
+    arr = _array(x, name)
     if arr.shape == (3,):
         return so3.hat(arr)
     if arr.shape == (9,):
@@ -147,6 +171,18 @@ def _as_omega(x, name: str) -> np.ndarray:
     if arr.shape == (3, 3):
         return so3.check_skew(arr)
     raise ConfigError(f"{name}: expected a 3-vector or row-major skew matrix")
+
+
+@contextlib.contextmanager
+def _section(name: str):
+    # Library validation errors raised while building a config section are
+    # configuration errors (exit 2), a rank-deficient scenario.refs included.
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttKitError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_potential(obj) -> PotentialModel:
@@ -166,9 +202,10 @@ def _parse_potential(obj) -> PotentialModel:
 
 def _parse_schedule(obj) -> np.ndarray:
     if isinstance(obj, dict) and "times" in obj:
-        times = np.asarray(obj["times"], dtype=float)
+        times = _array(obj["times"], "schedule.times")
     elif isinstance(obj, dict) and {"start", "dt", "count"} <= set(obj):
-        times = float(obj["start"]) + float(obj["dt"]) * np.arange(int(obj["count"]))
+        start, dt = (_number(obj[key], f"schedule.{key}") for key in ("start", "dt"))
+        times = start + dt * np.arange(_number(obj["count"], "schedule.count", integer=True))
     else:
         raise ConfigError(
             "schedule: expected {\"times\": [...]} or {\"start\", \"dt\", \"count\"}"
@@ -178,44 +215,35 @@ def _parse_schedule(obj) -> np.ndarray:
     return times
 
 
-def _parse_scenario(obj, seed_override=None) -> ScenarioSpec:
+def _parse_scenario(obj) -> ScenarioSpec:
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected an object")
     for key in ("refs", "inertia", "init", "schedule"):
         if key not in obj:
             raise ConfigError(f"scenario: missing {key!r}")
-    init_obj = obj["init"]
-    if not isinstance(init_obj, dict) or "attitude" not in init_obj or "omega" not in init_obj:
+    init = obj["init"]
+    if not isinstance(init, dict) or "attitude" not in init or "omega" not in init:
         raise ConfigError("scenario.init: expected {\"t\", \"attitude\", \"omega\"}")
-    noise_obj = obj.get("noise", {})
-    if not isinstance(noise_obj, dict):
+    noise = obj.get("noise", {})
+    if not isinstance(noise, dict):
         raise ConfigError("scenario.noise: expected an object")
-    seed = noise_obj.get("seed", 0) if seed_override is None else seed_override
-    try:
-        init = BodyState(
-            t=float(init_obj.get("t", 0.0)),
-            C=_nearest_rotation(
-                _as_mat3(init_obj["attitude"], "scenario.init.attitude"),
-                "scenario.init.attitude",
-            ),
-            Omega=_as_omega(init_obj["omega"], "scenario.init.omega"),
-        )
+    with _section("scenario"):
         return ScenarioSpec(
+            init=BodyState(
+                t=_number(init.get("t", 0.0), "scenario.init.t"),
+                C=_as_rotation(init["attitude"], "scenario.init.attitude"),
+                Omega=_as_omega(init["omega"], "scenario.init.omega"),
+            ),
             refs=_as_rows3(obj["refs"], "scenario.refs"),
             inertia=InertiaSpec(_as_mat3(obj["inertia"], "scenario.inertia")),
             potential=_parse_potential(obj.get("potential")),
-            init=init,
             schedule=_parse_schedule(obj["schedule"]),
             noise=NoiseSpec(
-                sigma_vec=float(noise_obj.get("sigma_vec", 0.0)),
-                sigma_gyro=float(noise_obj.get("sigma_gyro", 0.0)),
-                seed=int(seed),
+                sigma_vec=_number(noise.get("sigma_vec", 0.0), "scenario.noise.sigma_vec"),
+                sigma_gyro=_number(noise.get("sigma_gyro", 0.0), "scenario.noise.sigma_gyro"),
+                seed=_number(noise.get("seed", 0), "scenario.noise.seed", integer=True),
             ),
         )
-    except (AttKitError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"scenario: {exc}") from exc
 
 
 def _parse_integrator(obj) -> IntegratorConfig:
@@ -223,52 +251,55 @@ def _parse_integrator(obj) -> IntegratorConfig:
         return IntegratorConfig()
     if not isinstance(obj, dict):
         raise ConfigError("integrator: expected an object")
-    try:
+    with _section("integrator"):
         return IntegratorConfig(
-            step=float(obj.get("step", 1e-3)), scheme=obj.get("scheme", "rkmk4")
+            step=_number(obj.get("step", 1e-3), "integrator.step"),
+            scheme=obj.get("scheme", "rkmk4"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
 
 
 def _parse_filter(obj, integrator: IntegratorConfig):
-    obj = obj or {}
+    obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         raise ConfigError("filter: expected an object")
-    try:
-        fcfg = FilterConfig(
-            Delta=_as_mat3(obj.get("delta", 1.0), "filter.delta", allow_scalar=True),
-            Pi=_as_mat3(obj.get("pi", 1.0), "filter.pi", allow_scalar=True),
-            Gamma=_as_mat3(obj.get("gamma", 1.0), "filter.gamma", allow_scalar=True),
-            integrator=integrator,
+    with _section("filter"):
+        Delta, Pi, Gamma, omega_weight = (
+            _as_mat3(obj.get(key, 1.0), f"filter.{key}", allow_scalar=True)
+            for key in ("delta", "pi", "gamma", "omega_weight")
         )
-    except AttKitError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"filter: {exc}") from exc
-    omega_weight = _as_mat3(
-        obj.get("omega_weight", 1.0), "filter.omega_weight", allow_scalar=True
+        return FilterConfig(Delta=Delta, Pi=Pi, Gamma=Gamma, integrator=integrator), omega_weight
+
+
+def _load_run(args, filtering: bool = True) -> SimpleNamespace:
+    """Read the run file of propagate, filter or montecarlo.
+
+    Parses the scenario and the integrator; with filtering, also the filter
+    section, the mode and the noise seed (--seed, else scenario.noise.seed).
+    """
+    cfg = _load_config(args.config)
+    if "scenario" not in cfg:
+        raise ConfigError(f"{args.command} config: missing 'scenario'")
+    run = SimpleNamespace(
+        cfg=cfg,
+        scn=_parse_scenario(cfg["scenario"]),
+        integ=_parse_integrator(cfg.get("integrator")),
     )
-    return fcfg, omega_weight
-
-
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("ATTKIT_OUTPUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    if filtering:
+        run.fcfg, run.omega_weight = _parse_filter(cfg.get("filter"), run.integ)
+        run.mode = args.mode.replace("-", "_")
+        run.seed = run.scn.noise.seed if args.seed is None else args.seed
+    return run
 
 
 def _emit(text: str, output: str | None) -> None:
-    path = _resolve_output(output)
-    if path is None:
+    if output is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(f"wrote {path}\n")
+        return
+    # join keeps an absolute output path as it is.
+    path = os.path.join(os.environ.get("ATTKIT_OUTPUT_DIR", ""), output)
+    with open(path, "w") as fh:
+        fh.write(text)
+    sys.stdout.write(f"wrote {path}\n")
 
 
 def _json_text(obj) -> str:
@@ -328,11 +359,7 @@ def cmd_determine(args) -> int:
             raise ConfigError(f"determine config: missing {key!r}")
     refs = _as_rows3(cfg["refs"], "refs")
     body = _as_rows3(cfg["body"], "body")
-    weights = (
-        np.asarray(cfg["weights"], dtype=float)
-        if "weights" in cfg
-        else np.ones(refs.shape[1])
-    )
+    weights = _array(cfg["weights"], "weights") if "weights" in cfg else np.ones(refs.shape[1])
     profile = wahba.build_profile(refs, weights, body)
     attitude, factor = wahba.solve_attitude(profile)
     cost = wahba.alignment_cost(attitude, refs, body, weights)
@@ -347,35 +374,30 @@ def cmd_determine(args) -> int:
         "principal_angle_to_truth": None,
     }
     if "truth" in cfg:
-        truth = _nearest_rotation(_as_mat3(cfg["truth"], "truth"), "truth")
+        truth = _as_rotation(cfg["truth"], "truth")
         result["principal_angle_to_truth"] = so3.principal_angle(attitude, truth)
     _emit(_json_text(result), args.output)
     return EXIT_OK
 
 
 def cmd_propagate(args) -> int:
-    cfg = _load_config(args.config)
-    if "scenario" not in cfg:
-        raise ConfigError("propagate config: missing 'scenario'")
-    scn = _parse_scenario(cfg["scenario"])
-    integ = _parse_integrator(cfg.get("integrator"))
+    run = _load_run(args, filtering=False)
     rows = [PROPAGATE_CSV_HEADER]
-    for state in gen_truth(scn, integ):
+    for state in gen_truth(run.scn, run.integ):
         w = so3.vee(state.Omega)
-        vals = (
-            [state.t]
-            + state.C.ravel().tolist()
-            + w.tolist()
-            + [kinetic_energy(scn.inertia, state.Omega)]
-        )
+        vals = [state.t, *state.C.ravel().tolist(), *w.tolist(),
+                kinetic_energy(run.scn.inertia, state.Omega)]
         rows.append(",".join(_fmt(v) for v in vals))
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
 
-def _filter_rows(scn, fcfg, omega_weight, integ, mode):
-    truth, batches = simulate_scenario(scn, cfg=integ, omega_weight=omega_weight)
-    estimates = run_filter(None, batches, scn.inertia, scn.potential, fcfg, mode=mode)
+def _filter_rows(run):
+    scn = run.scn
+    truth, batches = simulate_scenario(
+        scn, make_rng(run.seed), cfg=run.integ, omega_weight=run.omega_weight
+    )
+    estimates = run_filter(None, batches, scn.inertia, scn.potential, run.fcfg, mode=run.mode)
     errors = filter_errors(truth, estimates)
     return [
         (st.t, *err, wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights))
@@ -383,36 +405,23 @@ def _filter_rows(scn, fcfg, omega_weight, integ, mode):
     ]
 
 
-def _mode_from_flag(flag: str) -> str:
-    return {"no-gyro": "no_gyro", "with-gyro": "with_gyro"}[flag]
-
-
 def cmd_filter(args) -> int:
-    cfg = _load_config(args.config)
-    if "scenario" not in cfg:
-        raise ConfigError("filter config: missing 'scenario'")
-    scn = _parse_scenario(cfg["scenario"], seed_override=args.seed)
-    integ = _parse_integrator(cfg.get("integrator"))
-    fcfg, omega_weight = _parse_filter(cfg.get("filter"), integ)
-    rows = _filter_rows(scn, fcfg, omega_weight, integ, _mode_from_flag(args.mode))
+    rows = _filter_rows(_load_run(args))
     out = [FILTER_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
     _emit("\n".join(out) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load_config(args.config)
-    if "scenario" not in cfg:
-        raise ConfigError("montecarlo config: missing 'scenario'")
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 0))
+    run = _load_run(args)
+    trials = args.trials
+    if trials is None:
+        trials = _number(run.cfg.get("trials", 0), "trials", integer=True)
     if trials < 1:
         raise ConfigError("montecarlo: trials must be >= 1")
-    scn = _parse_scenario(cfg["scenario"])
-    integ = _parse_integrator(cfg.get("integrator"))
-    fcfg, omega_weight = _parse_filter(cfg.get("filter"), integ)
-    mode = _mode_from_flag(args.mode)
-    master = scn.noise.seed if args.seed is None else args.seed
-    summary = montecarlo_summary(scn, fcfg, omega_weight, integ, mode, trials, master)
+    summary = montecarlo_summary(
+        run.scn, run.fcfg, run.omega_weight, run.integ, run.mode, trials, run.seed
+    )
     _emit(_json_text(summary), args.output)
     return EXIT_OK
 
@@ -420,58 +429,45 @@ def cmd_montecarlo(args) -> int:
 # ---------------------------------------------------------------------------
 # entry
 
+# Exit code of each error type, most specific first; any other handled
+# error is a configuration or input error.
+_EXIT_CODES = (
+    (GoldenMismatch, EXIT_GOLDEN),
+    (ReflectionProfile, EXIT_REFLECTION),
+    (SingularProfile, EXIT_SINGULAR),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="attkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("golden", help="verify the bundled reference case")
-    g.add_argument("--output", help="optional JSON result path")
-    g.set_defaults(func=cmd_golden)
-
-    d = sub.add_parser("determine", help="one-shot attitude determination")
-    d.add_argument("--config", required=True)
-    d.add_argument("--output")
-    d.set_defaults(func=cmd_determine)
-
-    pr = sub.add_parser("propagate", help="integrate the dynamics over a schedule")
-    pr.add_argument("--config", required=True)
-    pr.add_argument("--output")
-    pr.set_defaults(func=cmd_propagate)
-
-    f = sub.add_parser("filter", help="run a filter on a simulated scenario")
-    f.add_argument("--config", required=True)
-    f.add_argument("--output")
-    f.add_argument("--mode", choices=["no-gyro", "with-gyro"], default="no-gyro")
-    f.add_argument("--seed", type=int, help="override the scenario noise seed")
-    f.set_defaults(func=cmd_filter)
-
-    m = sub.add_parser("montecarlo", help="aggregate filter errors over trials")
-    m.add_argument("--config", required=True)
-    m.add_argument("--output")
-    m.add_argument("--mode", choices=["no-gyro", "with-gyro"], default="no-gyro")
-    m.add_argument("--seed", type=int, help="master seed (default: scenario seed)")
-    m.add_argument("--trials", type=int)
-    m.set_defaults(func=cmd_montecarlo)
+    config, output, filtering = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", required=True)
+    output.add_argument("--output", help="result file path")
+    filtering.add_argument("--mode", choices=["no-gyro", "with-gyro"], default="no-gyro")
+    filtering.add_argument(
+        "--seed", type=int, help="noise seed (default: scenario.noise.seed); trial i uses seed + i"
+    )
+    files, sim = [config, output], [config, output, filtering]
+    for name, func, parents, text in (
+        ("golden", cmd_golden, [output], "verify the bundled reference case"),
+        ("determine", cmd_determine, files, "one-shot attitude determination"),
+        ("propagate", cmd_propagate, files, "integrate the dynamics over a schedule"),
+        ("filter", cmd_filter, sim, "run a filter on a simulated scenario"),
+        ("montecarlo", cmd_montecarlo, sim, "aggregate filter errors over trials"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
+    sub.choices["montecarlo"].add_argument("--trials", type=int)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GoldenMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GOLDEN
-    except ReflectionProfile as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFLECTION
-    except SingularProfile as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except (AttKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_CONFIG)
 
 
 def entry() -> None:

@@ -51,7 +51,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "refs", wahba.check_vector_set(self.refs, name="scenario refs")
+            self, "refs", wahba.check_vector_set(self.refs, unit=True, name="scenario refs")
         )
         sched = np.asarray(self.schedule, dtype=float)
         if sched.ndim != 1:

@@ -310,3 +310,77 @@ def test_empty_schedule_exits_2(tmp_path, capsys, command, schedule):
     path = _write(tmp_path, "es.json", _run_file(schedule=schedule))
     assert cli.main(_argv(command, path)) == EXIT_CONFIG
     assert "schedule" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": 1, "refs": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli.main(["determine", "--config", str(path)]) == EXIT_CONFIG
+    assert "recursion" in capsys.readouterr().err
+
+
+def test_non_unit_refs_exit_2(tmp_path, capsys):
+    # Measured vectors are unit length, so longer references would inflate
+    # cost_J0 at every epoch.
+    cfg = _run_file()
+    cfg["scenario"]["refs"] = [[2.0 * v for v in row] for row in cfg["scenario"]["refs"]]
+    assert cli.main(_argv("filter", _write(tmp_path, "u.json", cfg))) == EXIT_CONFIG
+    assert "unit" in capsys.readouterr().err
+
+
+def _with_leaf(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+# None of these is a number: a quoted "nan" (it would read as no noise), an
+# integer literal too large for a float, and null.
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize(
+    "path, value",
+    [(("noise", "sigma_vec"), "nan"), (("inertia", 4), int("9" * 400)), (("schedule", "start"), None)],
+    ids=["quoted-nan-sigma_vec", "400-digit-inertia", "null-schedule-start"],
+)
+def test_malformed_config_number_exits_2(tmp_path, capsys, command, path, value):
+    cfg = _with_leaf(_run_file(), ("scenario", *path), value)
+    assert cli.main(_argv(command, _write(tmp_path, "mn.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+HOSTILE = [None, "x", "nan", [], {}, True, -1.0, 0, [[1.0]], int("9" * 400), "1e999"]
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def test_fuzzed_config_leaves_end_in_an_exit_code(tmp_path, capsys):
+    # No hostile value lengthens a run: none is a small positive step or a
+    # large count.
+    run = _run_file(potential={"type": "linear", "coeff": [0.1] * 9})
+    run.update(filter={"delta": 1.0, "pi": 1.0, "gamma": 4.0, "omega_weight": 1.0}, trials=2)
+    det = {"schema": 1, "refs": _ref_rows(rc.REFS), "body": _ref_rows(rc.BODY_MEAS),
+           "weights": [1.0] * 7, "truth": rc.ATTITUDE_TRUE.ravel().tolist()}
+    cases = [
+        (base, command, path, value)
+        for base, commands in ((run, ["propagate", "filter", "montecarlo"]), (det, ["determine"]))
+        for path in _leaves(base)
+        for command in commands
+        for value in HOSTILE
+    ]
+    path_file = tmp_path / "fuzz.json"
+    for k in np.random.default_rng(4).choice(len(cases), size=300, replace=False):
+        base, command, path, value = cases[k]
+        path_file.write_text(json.dumps(_with_leaf(base, path, value)))
+        code = cli.main([command, "--config", str(path_file)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SINGULAR, EXIT_REFLECTION), (path, value)
+        assert code == EXIT_OK or err.startswith("error: "), (path, value)

@@ -238,6 +238,19 @@ def test_integrator_config_validation():
         IntegratorConfig(scheme="euler")
 
 
+@pytest.mark.parametrize("t_end", [np.inf, np.nan], ids=["inf", "nan"])
+def test_propagate_rejects_non_finite_t_end(t_end):
+    state = BodyState(0.0, np.eye(3), so3.hat([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite time span"):
+        propagate(state, InertiaSpec(np.eye(3)), zero_potential(), t_end)
+
+
+def test_integrator_config_rejects_infinite_step():
+    # An infinite step would cover any span in one step that no guard sees.
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(step=np.inf)
+
+
 # ---------------------------------------------------------------------------
 # potential audit
 

@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from attkit import so3  # noqa: E402
+from attkit import so3, wahba  # noqa: E402
 from attkit.dynamics import (  # noqa: E402
     BodyState,
     InertiaSpec,
@@ -21,16 +21,32 @@ from attkit.dynamics import (  # noqa: E402
     propagate,
     zero_potential,
 )
+from attkit.filters import update_omega_no_gyro, update_omega_with_gyro  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 unit = st.floats(-1.0, 1.0)
 vec3 = st.tuples(unit, unit, unit)
 rotation_vector = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+# log10 eigenvalues of SPD weights down to 1e-6: equal draws give repeated
+# eigenvalues, small ones nearly singular weights.
+log_eigs = st.tuples(*[st.floats(-6.0, 0.0)] * 3)
+EPS = np.finfo(float).eps
 
 
 def _rotation(r):
     return so3.exp_so3(so3.hat(r))
+
+
+def _spd(r, eigs):
+    Q = _rotation(r)
+    W = Q @ np.diag(10.0 ** np.array(eigs)) @ Q.T
+    return 0.5 * (W + W.T)
+
+
+def _sylvester_cond(K):
+    # Condition number of the 3-vector form tr(K) I - K of K X + X K = M.
+    return np.linalg.cond(np.trace(K) * np.eye(3) - K)
 
 
 @SETTINGS
@@ -92,3 +108,33 @@ def test_principal_angle_reads_back_the_rotation_angle(r, axis, theta):
     hypothesis.assume(n > 1e-3)
     C = _rotation(r)
     assert abs(so3.principal_angle(C, C @ _rotation(theta * u / n)) - theta) <= 1e-14
+
+
+@SETTINGS
+@given(rotation_vector, rotation_vector, st.floats(0.0, 5.9), st.floats(0.0, 5.9))
+def test_qr_solve_matches_svd_procrustes_across_conditioning(r1, r2, a, b):
+    # Singular values 1 >= s2 >= s3 down to s3 = 10**-5.9, just above the
+    # SQRT_EIG_RTOL floor on s3**2 (and the DET_RTOL floor on s2 s3).
+    s = np.array([1.0, 10.0 ** -min(a, b), 10.0 ** -max(a, b)])
+    L = _rotation(r1) @ np.diag(s) @ _rotation(r2).T
+    C, _ = wahba.solve_attitude(wahba.profile_from_matrix(L))
+    U, _, Vt = np.linalg.svd(L)
+    # The QR route forms R R^T, so its error grows with the square of the
+    # condition number.
+    assert np.abs(C - U @ Vt).max() <= 64.0 * EPS * (s[0] / s[2]) ** 2
+
+
+@SETTINGS
+@given(rotation_vector, rotation_vector, vec3, log_eigs)
+def test_no_gyro_rate_update_fixes_the_rate_without_correction(r, q, w, eigs):
+    C, Pi, Om = _rotation(r), _spd(q, eigs), so3.hat(w)
+    out = update_omega_no_gyro(C, C, Om, Pi)
+    assert np.abs(out - Om).max() <= 16.0 * EPS * _sylvester_cond(Pi) * np.abs(Om).max()
+
+
+@SETTINGS
+@given(rotation_vector, log_eigs, rotation_vector, log_eigs, vec3)
+def test_gyro_rate_update_fixes_equal_rates(qx, ex, qg, eg, w):
+    X, Gamma, Om = _spd(qx, ex), _spd(qg, eg), so3.hat(w)
+    out = update_omega_with_gyro(Om, Om, X, Gamma)
+    assert np.abs(out - Om).max() <= 16.0 * EPS * _sylvester_cond(X + Gamma) * np.abs(Om).max()
