@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import so3
-from .errors import PotentialGradientNotSkewCompatible, StepTooLarge
+from .errors import PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
@@ -65,7 +65,8 @@ class PotentialModel:
 
     value maps a rotation C to the scalar potential energy; gradient maps C
     to the 3x3 matrix of partial derivatives with respect to the entries of
-    C. The library forms the skew moment from the gradient itself.
+    C. The library forms the skew moment from the gradient itself, and
+    calls gradient with one 3x3 attitude at a time.
     """
 
     value: Callable[[np.ndarray], float]
@@ -160,7 +161,9 @@ def _make_rhs(inertia, potential):
     # Angular acceleration vee(Omegadot) on plain floats: numpy call dispatch
     # dominates the cost at 3-vector sizes. Only a non-zero potential makes it
     # depend on the attitude, so only then is the stage attitude C exp(hat(s))
-    # formed; the free body skips three exponentials per step.
+    # formed; the free body skips three exponentials per step. The same code
+    # advances B bodies at once when the rate components are (B,) arrays and
+    # C is (B, 3, 3).
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
     gradient = None if potential.is_zero else potential.gradient
@@ -175,11 +178,16 @@ def _make_rhs(inertia, potential):
         if gradient is not None:
             if s is not None:
                 C = C @ so3._exp_vec(s)
-            # vee(G^T C - C^T G)
-            M = np.asarray(gradient(C), dtype=float).T @ C
-            c0 += M[2, 1] - M[1, 2]
-            c1 += M[0, 2] - M[2, 0]
-            c2 += M[1, 0] - M[0, 1]
+            # vee(G^T C - C^T G), with the gradient taken one attitude at a
+            # time; for B bodies each m_ij is the (B,) array of their entries.
+            if C.ndim == 2:
+                M = (_gradient(gradient, C).T @ C).tolist()
+            else:
+                M = np.moveaxis(np.array([_gradient(gradient, c) for c in C]).mT @ C, 0, -1)
+            (_, m01, m02), (m10, _, m12), (m20, m21, _) = M
+            c0 += m21 - m12
+            c1 += m02 - m20
+            c2 += m10 - m01
         return (
             i00 * c0 + i01 * c1 + i02 * c2,
             i10 * c0 + i11 * c1 + i12 * c2,
@@ -187,6 +195,13 @@ def _make_rhs(inertia, potential):
         )
 
     return f
+
+
+def _gradient(gradient, C):
+    G = np.asarray(gradient(C), dtype=float)
+    if G.shape != (3, 3):
+        raise ShapeMismatch(f"potential gradient must be 3x3, got shape {G.shape}")
+    return G
 
 
 def _make_step(inertia, potential):
@@ -268,22 +283,27 @@ def propagate(
         return state
 
     step = _make_step(inertia, potential)
-    h = cfg.step
+    C, w = _advance(step, state.C, so3.vee(state.Omega).tolist(), span, cfg.step)
+    return BodyState(t=t_end, C=C, Omega=so3.hat(w))
+
+
+def _advance(step, C, w, span, h):
+    # Steps (C, w) over span > 0: full steps of h, then a partial step. The
+    # rate w is three floats, or three (B,) arrays for B bodies at once,
+    # whose fastest one the pi/4 guard checks.
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-
-    C = state.C
-    w = tuple(so3.vee(state.Omega))
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
-        wmag = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+        r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+        wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
         if wmag * dt > MAX_STEP_ROTATION:
             raise StepTooLarge(
                 f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
             )
         C, w = step(C, w, dt)
-    return BodyState(t=t_end, C=C, Omega=so3.hat(w))
+    return C, w
 
 
 @dataclass(frozen=True)

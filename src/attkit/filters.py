@@ -8,6 +8,10 @@ measurements, and the angular velocity is updated either by rate matching
 (no gyro) or by a momentum-weighted average with the measured rate (gyro).
 With error-free measurements and an exact start every update is an identity
 map, so the filters are unbiased in that sense.
+
+The updates also take B trials at once: stacked attitudes and rates
+(B, 3, 3) and a batch whose body vectors are (B, 3, n); every check then
+applies to each trial.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ class MeasurementBatch:
     """Vector measurements (and optionally a gyro reading) at one epoch.
 
     refs: 3xn inertial reference directions; body: the matched measured
-    body-frame directions; weights: n positive weights (defaults to ones).
-    omega_meas is the measured angular velocity as a skew matrix and
+    body-frame directions, or a (B, 3, n) stack of them for B trials;
+    weights: n positive weights (defaults to ones). omega_meas is the
+    measured angular velocity as a skew matrix (or a stack of them) and
     omega_weight its symmetric positive definite weight, typically assigned
     from the rate sensor error covariance; both may be absent.
     """
@@ -70,7 +75,7 @@ class MeasurementBatch:
     def __post_init__(self):
         refs = np.asarray(self.refs, dtype=float)
         body = np.asarray(self.body, dtype=float)
-        if refs.shape != body.shape or refs.ndim != 2 or refs.shape[0] != 3:
+        if refs.shape != body.shape[-2:] or refs.ndim != 2 or refs.shape[0] != 3:
             raise ShapeMismatch(
                 f"reference set {refs.shape} and body set {body.shape} differ"
             )
@@ -99,7 +104,7 @@ def update_attitude(C_minus, batch: MeasurementBatch, cfg: FilterConfig) -> np.n
     """Attitude update: solve the alignment problem on the blended profile
     C_minus Delta + sum_i w_i e_i b_i^T."""
     L = np.asarray(C_minus, dtype=float) @ cfg.Delta + batch.refs @ (
-        batch.weights[:, None] * batch.body.T
+        batch.weights[:, None] * batch.body.mT
     )
     attitude, _ = wahba.solve_attitude(wahba.profile_from_matrix(L))
     return attitude
@@ -114,16 +119,16 @@ def update_omega_no_gyro(C_minus, C_plus, Omega_minus, Pi) -> np.ndarray:
     and a violation raises InconsistentUpdate.
     """
     Pi = np.asarray(Pi, dtype=float)
-    F = np.asarray(C_plus, dtype=float).T @ np.asarray(C_minus, dtype=float)
-    R = F @ Omega_minus @ Pi + Pi @ Omega_minus @ F.T
-    sym = 0.5 * np.abs(R + R.T).max()
+    F = np.asarray(C_plus, dtype=float).mT @ np.asarray(C_minus, dtype=float)
+    R = F @ Omega_minus @ Pi + Pi @ Omega_minus @ F.mT
+    sym = 0.5 * np.abs(R + R.mT).max()
     if not sym <= UPDATE_SYM_TOL:
         raise InconsistentUpdate(
             f"symmetric residual {sym!r} in rate update (is the weight symmetric "
             "positive definite and are the attitudes valid rotations?)"
         )
-    skew = 0.5 * (R - R.T)
-    return so3.solve_skew_sylvester(Pi, [skew[2, 1], skew[0, 2], skew[1, 0]])
+    St = 0.5 * (R - R.mT).T  # stack axis last: St[j, i] is skew[:, i, j]
+    return so3.solve_skew_sylvester(Pi, [St[1, 2], St[2, 0], St[0, 1]])
 
 
 def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
@@ -145,8 +150,9 @@ def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
         + Omega_minus @ Gamma
     )
     # Read directly: rhs scales with the weights, which vee's absolute skew
-    # tolerance does not.
-    return so3.solve_skew_sylvester(X + Gamma, [rhs[2, 1], rhs[0, 2], rhs[1, 0]])
+    # tolerance does not. rhs.T puts a stack axis last.
+    Rt = rhs.T
+    return so3.solve_skew_sylvester(X + Gamma, [Rt[1, 2], Rt[2, 0], Rt[0, 1]])
 
 
 def initial_estimate(

@@ -5,7 +5,8 @@ noise, re-normalized to unit length (the usual star-tracker model); gyro
 readings are the true angular velocity plus per-axis Gaussian noise. All
 generators take an explicit counter-based random generator, so scenarios
 are bit-reproducible given a seed and independent trials can use spawned
-streams.
+streams. Given a list of B generators, the measurement generators draw once
+from each and return B stacked measurements.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import numpy as np
 
 from . import so3, wahba
 from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, propagate
-from .filters import FilterConfig, FilterEstimate, MeasurementBatch, run_filter
+from .dynamics import _advance, _make_step
+from .filters import FilterConfig, FilterEstimate, MeasurementBatch, initial_estimate
+from .filters import update_attitude, update_omega_no_gyro, update_omega_with_gyro
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -87,8 +90,8 @@ def gen_vector_measurements(
     refs = np.asarray(refs, dtype=float)
     body = state.C.T @ refs
     if noise.sigma_vec > 0.0:
-        body = body + rng.normal(0.0, noise.sigma_vec, size=body.shape)
-        body = body / np.linalg.norm(body, axis=0, keepdims=True)
+        body = body + _normal(rng, noise.sigma_vec, body.shape)
+        body = body / np.linalg.norm(body, axis=-2, keepdims=True)
     return body
 
 
@@ -98,8 +101,16 @@ def gen_gyro_measurement(
     """Measured angular velocity: truth plus per-axis N(0, sigma_gyro^2) noise."""
     Omega_true = np.asarray(Omega_true, dtype=float)
     if noise.sigma_gyro > 0.0:
-        return Omega_true + so3.hat(rng.normal(0.0, noise.sigma_gyro, size=3))
+        return Omega_true + so3.hat(_normal(rng, noise.sigma_gyro, 3).T)
     return Omega_true.copy()
+
+
+def _normal(rng, sigma, shape):
+    # N(0, sigma^2) noise of the given shape from one generator, or stacked,
+    # one draw from each of a list of generators.
+    if isinstance(rng, np.random.Generator):
+        return rng.normal(0.0, sigma, size=shape)
+    return np.array([r.normal(0.0, sigma, size=shape) for r in rng])
 
 
 def clustered_references(
@@ -189,17 +200,18 @@ def filter_errors(truth: list[BodyState], estimates: list[FilterEstimate]) -> np
     Row k holds, for the k-th pair of true state and estimate, the principal
     angles from C_minus and from C_plus to the true attitude, then the
     Euclidean norms of the Omega_minus and Omega_plus errors in axis
-    coordinates.
+    coordinates. Estimates that stack B trials give rows of shape (B, 4).
     """
-    out = np.empty((len(estimates), 4))
-    for k, (st, est) in enumerate(zip(truth, estimates, strict=True)):
-        out[k] = (
+    rows = []
+    for st, est in zip(truth, estimates, strict=True):
+        rates = (so3.vee(est.Omega_minus - st.Omega), so3.vee(est.Omega_plus - st.Omega))
+        rows.append(np.array([
             so3.principal_angle(est.C_minus, st.C),
             so3.principal_angle(est.C_plus, st.C),
-            np.linalg.norm(so3.vee(est.Omega_minus - st.Omega)),
-            np.linalg.norm(so3.vee(est.Omega_plus - st.Omega)),
-        )
-    return out
+            # The dot-product norm, bit for bit np.linalg.norm's on one vector.
+            *(np.sqrt(np.vecdot(v.T, v.T)) for v in rates),
+        ]).T)
+    return np.array(rows) if rows else np.empty((0, 4))
 
 
 def montecarlo_summary(
@@ -218,14 +230,51 @@ def montecarlo_summary(
     independent streams, and trial 0 reproduces a single filter run with
     the same seed). Results are deterministic functions of (scenario,
     config, trials, master_seed).
+
+    All trials advance together, epoch by epoch, through run_filter's
+    operations on a leading trial axis; each stream is drawn in the order
+    a single run draws it. Every check of a single run applies to each
+    trial; when checks fail in several trials, the first failure in
+    (epoch, check) order is raised.
     """
-    metrics = np.empty((trials, len(scn.schedule), 4))
+    if mode not in ("no_gyro", "with_gyro"):
+        raise ValueError(f"unknown filter mode {mode!r}")
+    omega_weight = so3.check_spd(np.eye(3) if omega_weight is None else omega_weight)
     truth = gen_truth(scn, integ)
-    for i in range(trials):
-        rng = make_rng(master_seed + i)
-        batches = gen_batches_from_truth(truth, scn, rng, omega_weight=omega_weight)
-        estimates = run_filter(None, batches, scn.inertia, scn.potential, fcfg, mode=mode)
-        metrics[i] = filter_errors(truth, estimates)
+    rngs = [make_rng(master_seed + i) for i in range(trials)]
+    step = _make_step(scn.inertia, scn.potential)
+    metrics = np.empty((trials, len(truth), 4))
+    for k, state in enumerate(truth):
+        # Without noise, one measurement serves every trial.
+        batch = MeasurementBatch(
+            t=state.t,
+            refs=scn.refs,
+            body=np.broadcast_to(
+                gen_vector_measurements(state, scn.refs, scn.noise, rngs),
+                (trials, *scn.refs.shape),
+            ),
+            omega_meas=np.broadcast_to(
+                gen_gyro_measurement(state.Omega, scn.noise, rngs), (trials, 3, 3)
+            ),
+        )
+        if k == 0:
+            est = initial_estimate(batch)
+        else:
+            # The rotation checks run_filter makes on C+ and propagate on C-.
+            C_minus, w = _advance(
+                step, so3.check_rotation(est.C_plus), tuple(so3.vee(est.Omega_plus)),
+                state.t - est.t, integ.step,
+            )
+            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.hat(w)
+            C_plus = update_attitude(C_minus, batch, fcfg)
+            if mode == "no_gyro":
+                Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, fcfg.Pi)
+            else:
+                Omega_plus = update_omega_with_gyro(
+                    Omega_minus, batch.omega_meas, omega_weight, fcfg.Gamma
+                )
+            est = FilterEstimate(state.t, C_minus, C_plus, Omega_minus, Omega_plus)
+        metrics[:, k] = filter_errors([state], [est])[0]
 
     names = ("err_att_pre", "err_att_post", "err_omega_pre", "err_omega_post")
     per_epoch: dict = {"t": [float(t) for t in scn.schedule]}

@@ -3,6 +3,11 @@
 Rotations and skew matrices are carried as plain 3x3 float arrays; the
 validators below enforce the invariants that the rest of the package
 relies on. All functions are pure.
+
+Most functions also take a stack of B problems on a leading axis:
+matrices of shape (B, 3, 3), and vectors of shape (3, B), whose three
+components are (B,) arrays. A validator raises if any matrix of a stack
+fails.
 """
 
 from __future__ import annotations
@@ -26,18 +31,24 @@ _I3 = np.eye(3)
 def hat(v) -> np.ndarray:
     """Map a 3-vector to the skew matrix with hat(v) @ w == cross(v, w)."""
     x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    if not getattr(x, "ndim", 0):  # np.ndim costs a microsecond on floats
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    W = np.zeros(np.shape(x) + (3, 3))
+    W[..., 0, 1], W[..., 0, 2], W[..., 1, 2] = -z, y, -x
+    W[..., 1, 0], W[..., 2, 0], W[..., 2, 1] = z, -y, x
+    return W
 
 
 def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Inverse of hat. Raises NotSkew if X is not skew within tol."""
     X = np.asarray(X, dtype=float)
-    if X.shape != (3, 3):
+    if X.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
-    resid = np.abs(X + X.T).max()
+    resid = np.abs(X + X.mT).max()
     if not resid <= tol:
         raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
-    return np.array([X[2, 1], X[0, 2], X[1, 0]])
+    Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
+    return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
 
 
 def exp_so3(X) -> np.ndarray:
@@ -51,11 +62,17 @@ def exp_so3(X) -> np.ndarray:
 
 
 def _exp_vec(w) -> np.ndarray:
-    # Rodrigues formula in axis-angle coordinates; w is a plain 3-sequence.
+    # Rodrigues formula in axis-angle coordinates; w is a plain 3-sequence,
+    # or three equally shaped arrays for a stack of rotations.
     x, y, z = w
     t2 = x * x + y * y + z * z
     t = np.sqrt(t2)
-    if t < 1e-6:
+    if t.ndim:
+        small = t < 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)[..., None, None]
+            b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2)[..., None, None]
+    elif t < 1e-6:
         a = 1.0 - t2 / 6.0
         b = 0.5 - t2 / 24.0
     else:
@@ -70,15 +87,21 @@ def solve_skew_sylvester(K, m) -> np.ndarray:
 
     The map X -> K X + X K is an isomorphism of so(3); in axis coordinates
     it is the matrix trace(K) I - K, so X = hat((trace(K) I - K)^-1 m).
+    K is one 3x3 matrix; m may be a stack of vectors, (3, B), each solved
+    on its own.
     """
     K = np.asarray(K, dtype=float)
-    return hat(np.linalg.solve(np.trace(K) * _I3 - K, m))
+    m = np.asarray(m, dtype=float)
+    return hat(np.linalg.solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T)
 
 
 def nearest_rotation(M) -> np.ndarray:
     """Rotation closest to M in the Frobenius norm (sign-corrected SVD)."""
     U, _, Vt = np.linalg.svd(M)
-    return U @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))]) @ Vt
+    D = np.zeros(U.shape)
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 2, 2] = np.sign(np.linalg.det(U @ Vt))
+    return U @ D @ Vt
 
 
 def trace_inner(A, B) -> float:
@@ -95,13 +118,23 @@ def principal_angle(C1, C2) -> float:
 
     With R = C1^T C2, computed as atan2(|vee(R - R^T)| / 2, (trace(R) - 1) / 2):
     unlike the arccos of the trace alone, it keeps full accuracy near 0 and
-    near pi. Both inputs are assumed to be valid rotations.
+    near pi. Both inputs are assumed to be valid rotations. Stacked inputs
+    give an array of angles, equal to the one-pair angles bit for bit.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = (
-        np.asarray(C1).T @ np.asarray(C2)
-    ).tolist()
+    R = np.asarray(C1).mT @ np.asarray(C2)
+    if R.ndim > 2:
+        Rt = R.T  # stack axis last: Rt[j, i] is R[:, i, j]
+        x, y, z = Rt[1, 2] - Rt[2, 1], Rt[2, 0] - Rt[0, 2], Rt[0, 1] - Rt[1, 0]
+        c = 0.5 * (Rt[0, 0] + Rt[1, 1] + Rt[2, 2] - 1.0)
+        return _atan2(0.5 * np.sqrt(x * x + y * y + z * z), c).astype(float)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
     x, y, z = r21 - r12, r02 - r20, r10 - r01
     return math.atan2(0.5 * math.sqrt(x * x + y * y + z * z), 0.5 * (r00 + r11 + r22 - 1.0))
+
+
+# math.atan2 over arrays: numpy's arctan2 rounds differently in a few
+# percent of cases, and stacked angles must equal the one-pair ones.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def attitude_error_matrix(C_est, C_true) -> np.ndarray:
@@ -112,15 +145,25 @@ def attitude_error_matrix(C_est, C_true) -> np.ndarray:
 def check_rotation(C, tol: float = ROTATION_TOL) -> np.ndarray:
     """Validate a proper rotation matrix; returns it as a float array."""
     C = np.asarray(C, dtype=float)
-    if C.shape != (3, 3):
+    if C.shape[-2:] != (3, 3):
         raise NotRotation(f"expected 3x3 matrix, got {C.shape}")
-    ortho = np.abs(C.T @ C - _I3).max()
+    ortho = np.abs(C.mT @ C - _I3).max()
     if not ortho <= tol:
         raise NotRotation(f"orthogonality residual {ortho:.3e} exceeds {tol:.1e}")
     det = np.linalg.det(C)
-    if not abs(det - 1.0) <= tol:
-        raise NotRotation(f"determinant {det!r} not within {tol:.1e} of 1")
+    bad = _first_failure(abs(det - 1.0) <= tol, det)
+    if bad is not None:
+        raise NotRotation(f"determinant {bad!r} not within {tol:.1e} of 1")
     return C
+
+
+def _first_failure(ok, value):
+    # A check over a stack: None if ok holds for every problem, else value at
+    # the first problem where it fails. ok is one bool, or a bool array over
+    # value's leading axis. Write ok so that NaN fails it.
+    if not getattr(ok, "ndim", 0):
+        return None if ok else value
+    return None if ok.all() else value[~ok][0]
 
 
 def check_skew(X, tol: float = SKEW_TOL) -> np.ndarray:

@@ -7,6 +7,10 @@ minimizing the weighted alignment cost together with the symmetric positive
 definite solver factor. The solver route is a QR factorization followed by
 the inverse principal square root; an SVD-based orthogonal Procrustes
 fallback is available for profiles with negative determinant.
+
+Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
+(B, 3, 3), against one reference set; every check then applies to each
+problem of the stack.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ SQRT_EIG_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AttitudeProfile:
-    """3x3 attitude profile matrix with its determinant cached."""
+    """3x3 attitude profile matrix with its determinant cached (or a stack
+    of them with an array of determinants)."""
 
     matrix: np.ndarray
     det: float
@@ -37,17 +42,19 @@ class AttitudeProfile:
 def check_vector_set(V, unit: bool = False, name: str = "vector set") -> np.ndarray:
     """Validate a 3xn set of direction vectors (n >= 3, numerical rank 3)."""
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != 3 or V.shape[1] < 3:
+    if V.ndim < 2 or V.shape[-2] != 3 or V.shape[-1] < 3:
         raise ShapeMismatch(f"{name}: expected 3xn with n >= 3, got {V.shape}")
     if not np.isfinite(V).all():
         raise ValueError(f"{name}: non-finite entries")
     s = np.linalg.svd(V, compute_uv=False)
-    if not s[2] >= RANK_RTOL * s[0]:
+    st = s.T  # stack axis last
+    bad = so3._first_failure(st[2] >= RANK_RTOL * st[0], s)
+    if bad is not None:
         raise SingularProfile(
-            f"{name}: rank deficient (singular values {s}); problem is ill-posed"
+            f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
         )
     if unit:
-        norms = np.linalg.norm(V, axis=0)
+        norms = np.linalg.norm(V, axis=-2)
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError(f"{name}: columns are not unit vectors")
     return V
@@ -68,12 +75,14 @@ def check_weights(w, n: int | None = None) -> np.ndarray:
 def profile_from_matrix(M) -> AttitudeProfile:
     """Wrap a precomputed 3x3 profile matrix, enforcing nonsingularity."""
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
+    if M.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"profile must be 3x3, got {M.shape}")
-    det = float(np.linalg.det(M))
-    scale = float(np.linalg.norm(M))
-    if not abs(det) > DET_RTOL * scale**3:
-        raise SingularProfile(f"profile determinant {det:.3e} below noise floor")
+    det = np.linalg.det(M)
+    flat = M.reshape(*M.shape[:-2], 9)
+    # norm(M)^3, from each profile's squared Frobenius norm
+    bad = so3._first_failure(abs(det) > DET_RTOL * np.vecdot(flat, flat) ** 1.5, det)
+    if bad is not None:
+        raise SingularProfile(f"profile determinant {bad:.3e} below noise floor")
     return AttitudeProfile(matrix=M, det=det)
 
 
@@ -86,12 +95,12 @@ def build_profile(refs, weights, body) -> AttitudeProfile:
     """
     refs = check_vector_set(refs, name="reference vectors")
     body = check_vector_set(body, name="body vectors")
-    if refs.shape != body.shape:
+    if refs.shape != body.shape[-2:]:
         raise ShapeMismatch(
             f"reference set {refs.shape} and body set {body.shape} differ"
         )
     weights = check_weights(weights, n=refs.shape[1])
-    return profile_from_matrix(refs @ (weights[:, None] * body.T))
+    return profile_from_matrix(refs @ (weights[:, None] * body.mT))
 
 
 def solve_attitude(
@@ -109,27 +118,29 @@ def solve_attitude(
     rotation is substituted and the factor is the one implied by it.
     """
     L = profile.matrix
-    if profile.det <= 0.0:
+    det = so3._first_failure(profile.det > 0.0, profile.det)
+    if det is not None:
         if not allow_reflection:
-            raise ReflectionProfile(
-                f"profile determinant {profile.det:.3e} is not positive"
-            )
+            raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
+        # The SVD route also solves the positive-determinant problems of a stack.
         C = so3.nearest_rotation(L)
         S = C @ np.linalg.inv(L)
-        return C, 0.5 * (S + S.T)
+        return C, 0.5 * (S + S.mT)
 
     Q, R = np.linalg.qr(L)
-    if np.linalg.det(Q) < 0.0:
-        # Standard QR returns Q in O(3); flip the last column into SO(3).
-        Q = Q.copy()
-        R = R.copy()
-        Q[:, 2] = -Q[:, 2]
-        R[2, :] = -R[2, :]
-    w, V = np.linalg.eigh(R @ R.T)
-    if not w[0] > SQRT_EIG_RTOL * w[2]:
-        raise SingularProfile(f"profile effectively singular (eigenvalues {w})")
-    S = Q @ (V @ ((1.0 / np.sqrt(w))[:, None] * V.T)) @ Q.T
-    S = 0.5 * (S + S.T)
+    flip = np.linalg.det(Q) < 0.0
+    if flip.ndim or flip:
+        # Standard QR returns Q in O(3); flip the last column into SO(3), in
+        # each problem of a stack where that is needed.
+        Q[flip, :, 2] *= -1.0
+        R[flip, 2, :] *= -1.0
+    w, V = np.linalg.eigh(R @ R.mT)
+    wt = w.T  # stack axis last
+    bad = so3._first_failure(wt[0] > SQRT_EIG_RTOL * wt[2], w)
+    if bad is not None:
+        raise SingularProfile(f"profile effectively singular (eigenvalues {bad})")
+    S = Q @ (V @ ((1.0 / np.sqrt(w))[..., None] * V.mT)) @ Q.mT
+    S = 0.5 * (S + S.mT)
     return S @ L, S
 
 
