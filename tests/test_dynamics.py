@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from attkit.dynamics import (
 from attkit.errors import (
     NotSymmetricPD,
     PotentialGradientNotSkewCompatible,
+    ShapeMismatch,
     StepTooLarge,
 )
 
@@ -148,6 +151,25 @@ def test_euler_rhs_rejects_nan_gradient():
     state = BodyState(0.0, np.eye(3), so3.hat([0.1, 0.0, 0.0]))
     with pytest.raises(PotentialGradientNotSkewCompatible):
         euler_rhs(state, InertiaSpec(np.eye(3)), bad)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (9,), (2, 3)])
+def test_wrong_shape_gradient_raises_shape_mismatch(shape):
+    from attkit.dynamics import PotentialModel
+
+    bad = PotentialModel(value=lambda C: 0.0, gradient=lambda C: np.ones(shape))
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    state = BodyState(0.0, np.eye(3), so3.hat([0.1, -0.2, 0.3]))
+    named = re.escape(f"got shape {shape}")
+    with pytest.raises(ShapeMismatch, match=named):
+        euler_rhs(state, spec, bad)
+    with pytest.raises(ShapeMismatch, match=named):
+        propagate(state, spec, bad, 0.01)
+    # The stacked stage: four bodies at once, each at its own stage attitude.
+    rhs = dynamics._make_rhs(spec, bad)
+    w = np.full(4, 0.1)
+    with pytest.raises(ShapeMismatch, match=named):
+        rhs(w, w, w, np.stack([np.eye(3)] * 4), (w, w, w))
 
 
 # ---------------------------------------------------------------------------
