@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import so3
-from .errors import PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
+from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
@@ -99,6 +99,11 @@ class BodyState:
     Omega: np.ndarray
 
     def __post_init__(self):
+        # One body: the validators alone would also pass a stack of them.
+        if np.shape(self.C) != (3, 3):
+            raise NotRotation(f"expected 3x3 attitude, got {np.shape(self.C)}")
+        if np.shape(self.Omega) != (3, 3):
+            raise ShapeMismatch(f"expected 3x3 angular velocity, got {np.shape(self.Omega)}")
         object.__setattr__(self, "C", so3.check_rotation(self.C))
         object.__setattr__(self, "Omega", so3.check_skew(self.Omega))
 
@@ -275,8 +280,6 @@ def propagate(
     if cfg is None:
         cfg = IntegratorConfig()
     span = t_end - state.t
-    if not math.isfinite(span):
-        raise ValueError(f"non-finite time span from {state.t!r} to t_end {t_end!r}")
     if span < 0.0:
         raise ValueError(f"t_end {t_end!r} precedes state time {state.t!r}")
     if span == 0.0:
@@ -288,9 +291,11 @@ def propagate(
 
 
 def _advance(step, C, w, span, h):
-    # Steps (C, w) over span > 0: full steps of h, then a partial step. The
+    # Steps (C, w) over span >= 0: full steps of h, then a partial step. The
     # rate w is three floats, or three (B,) arrays for B bodies at once,
     # whose fastest one the pi/4 guard checks.
+    if not math.isfinite(span):
+        raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3, wahba
-from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, propagate
+from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance, _make_step
 from .errors import InconsistentUpdate, MissingGyro, ShapeMismatch
 
 # Allowed symmetric residual in the rate-matching update equation.
@@ -231,30 +231,31 @@ def run_filter(
         Omega_plus=init.Omega_plus,
     )
     out = [first]
+    step = _make_step(inertia, potential)
     for batch in batches[1:]:
-        prev = out[-1]
-        state = propagate(
-            BodyState(t=prev.t, C=prev.C_plus, Omega=prev.Omega_plus),
-            inertia,
-            potential,
-            batch.t,
-            cfg.integrator,
-        )
-        C_minus, Omega_minus = state.C, state.Omega
-        C_plus = update_attitude(C_minus, batch, cfg)
-        if mode == "no_gyro":
-            Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)
-        else:
-            Omega_plus = update_omega_with_gyro(
-                Omega_minus, batch.omega_meas, batch.omega_weight, cfg.Gamma
-            )
-        out.append(
-            FilterEstimate(
-                t=batch.t,
-                C_minus=C_minus,
-                C_plus=C_plus,
-                Omega_minus=Omega_minus,
-                Omega_plus=Omega_plus,
-            )
-        )
+        out.append(_filter_epoch(step, out[-1], batch, cfg, mode))
     return out
+
+
+def _filter_epoch(step, prev: FilterEstimate, batch: MeasurementBatch, cfg: FilterConfig, mode):
+    """One later epoch: propagate prev's plus estimate to batch.t, then update.
+
+    step is dynamics._make_step's RKMK4 step for the body. The same code
+    advances B trials at once when prev holds stacked estimates or batch
+    stacked measurements; every check then applies to each trial.
+    """
+    w = so3.vee(prev.Omega_plus)
+    C_minus, w = _advance(
+        step, so3.check_rotation(prev.C_plus), w.tolist() if w.ndim == 1 else tuple(w),
+        batch.t - prev.t, cfg.integrator.step,
+    )
+    # The checks a propagated body state gets.
+    C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
+    C_plus = update_attitude(C_minus, batch, cfg)
+    if mode == "no_gyro":
+        Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)
+    else:
+        Omega_plus = update_omega_with_gyro(
+            Omega_minus, batch.omega_meas, batch.omega_weight, cfg.Gamma
+        )
+    return FilterEstimate(batch.t, C_minus, C_plus, Omega_minus, Omega_plus)

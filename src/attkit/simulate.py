@@ -18,9 +18,10 @@ import numpy as np
 
 from . import so3, wahba
 from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, propagate
-from .dynamics import _advance, _make_step
-from .filters import FilterConfig, FilterEstimate, MeasurementBatch, initial_estimate
-from .filters import update_attitude, update_omega_no_gyro, update_omega_with_gyro
+from .dynamics import _make_step
+from .errors import ShapeMismatch
+from .filters import FilterConfig, FilterEstimate, MeasurementBatch, _filter_epoch
+from .filters import initial_estimate
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -53,9 +54,10 @@ class ScenarioSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "refs", wahba.check_vector_set(self.refs, unit=True, name="scenario refs")
-        )
+        refs = wahba.check_vector_set(self.refs, unit=True, name="scenario refs")
+        if refs.ndim != 2:
+            raise ShapeMismatch(f"scenario refs: expected one 3xn set, got {refs.shape}")
+        object.__setattr__(self, "refs", refs)
         sched = np.asarray(self.schedule, dtype=float)
         if sched.ndim != 1:
             raise ValueError("schedule must be a 1-d sequence of times")
@@ -200,17 +202,18 @@ def filter_errors(truth: list[BodyState], estimates: list[FilterEstimate]) -> np
     Row k holds, for the k-th pair of true state and estimate, the principal
     angles from C_minus and from C_plus to the true attitude, then the
     Euclidean norms of the Omega_minus and Omega_plus errors in axis
-    coordinates. Estimates that stack B trials give rows of shape (B, 4).
+    coordinates. Estimates that stack B trials, in any of their parts, give
+    rows of shape (B, 4).
     """
     rows = []
     for st, est in zip(truth, estimates, strict=True):
         rates = (so3.vee(est.Omega_minus - st.Omega), so3.vee(est.Omega_plus - st.Omega))
-        rows.append(np.array([
+        rows.append(np.stack(np.broadcast_arrays(
             so3.principal_angle(est.C_minus, st.C),
             so3.principal_angle(est.C_plus, st.C),
             # The dot-product norm, bit for bit np.linalg.norm's on one vector.
             *(np.sqrt(np.vecdot(v.T, v.T)) for v in rates),
-        ]).T)
+        ), axis=-1))
     return np.array(rows) if rows else np.empty((0, 4))
 
 
@@ -231,49 +234,30 @@ def montecarlo_summary(
     the same seed). Results are deterministic functions of (scenario,
     config, trials, master_seed).
 
-    All trials advance together, epoch by epoch, through run_filter's
-    operations on a leading trial axis; each stream is drawn in the order
-    a single run draws it. Every check of a single run applies to each
-    trial; when checks fail in several trials, the first failure in
-    (epoch, check) order is raised.
+    All trials advance together, epoch by epoch, through run_filter's epoch
+    function on a leading trial axis; each stream is drawn in the order a
+    single run draws it. Every check of a single run applies to each trial;
+    when checks fail in several trials, the first failure in (epoch, check)
+    order is raised. Quantities that no noise reaches stay unstacked, shared
+    by every trial.
     """
     if mode not in ("no_gyro", "with_gyro"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    omega_weight = so3.check_spd(np.eye(3) if omega_weight is None else omega_weight)
     truth = gen_truth(scn, integ)
+    # One trial takes run_filter's path on one problem: stacks of one cost
+    # numpy call overhead that plain floats do not.
     rngs = [make_rng(master_seed + i) for i in range(trials)]
+    rng = rngs[0] if trials == 1 else rngs
     step = _make_step(scn.inertia, scn.potential)
     metrics = np.empty((trials, len(truth), 4))
     for k, state in enumerate(truth):
-        # Without noise, one measurement serves every trial.
-        batch = MeasurementBatch(
-            t=state.t,
-            refs=scn.refs,
-            body=np.broadcast_to(
-                gen_vector_measurements(state, scn.refs, scn.noise, rngs),
-                (trials, *scn.refs.shape),
-            ),
-            omega_meas=np.broadcast_to(
-                gen_gyro_measurement(state.Omega, scn.noise, rngs), (trials, 3, 3)
-            ),
-        )
+        # One epoch's measurements at a time; without noise they are one
+        # measurement shared by every trial.
+        (batch,) = gen_batches_from_truth([state], scn, rng, omega_weight)
         if k == 0:
             est = initial_estimate(batch)
         else:
-            # The rotation checks run_filter makes on C+ and propagate on C-.
-            C_minus, w = _advance(
-                step, so3.check_rotation(est.C_plus), tuple(so3.vee(est.Omega_plus)),
-                state.t - est.t, integ.step,
-            )
-            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.hat(w)
-            C_plus = update_attitude(C_minus, batch, fcfg)
-            if mode == "no_gyro":
-                Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, fcfg.Pi)
-            else:
-                Omega_plus = update_omega_with_gyro(
-                    Omega_minus, batch.omega_meas, omega_weight, fcfg.Gamma
-                )
-            est = FilterEstimate(state.t, C_minus, C_plus, Omega_minus, Omega_plus)
+            est = _filter_epoch(step, est, batch, fcfg, mode)
         metrics[:, k] = filter_errors([state], [est])[0]
 
     names = ("err_att_pre", "err_att_post", "err_omega_pre", "err_omega_post")

@@ -21,6 +21,7 @@ from attkit.errors import (
     InconsistentUpdate,
     NotRotation,
     ReflectionProfile,
+    ShapeMismatch,
     SingularProfile,
     StepTooLarge,
 )
@@ -74,13 +75,8 @@ def _reference_metrics(scn, fcfg, omega_weight, integ, mode, trials, seed):
     return np.array(out)
 
 
-@pytest.mark.parametrize("trials", [1, 3, 7])
-@pytest.mark.parametrize("noise", sorted(NOISES))
-@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
-@pytest.mark.parametrize("potential", sorted(POTENTIALS))
-def test_campaign_matches_one_filter_run_per_trial(potential, mode, noise, trials):
-    sigma_vec, sigma_gyro = NOISES[noise]
-    scn = ScenarioSpec(
+def _scenario(potential, sigma_vec, sigma_gyro):
+    return ScenarioSpec(
         refs=clustered_references(7, 0.25, axis=(0.3, -0.4, 0.87), rng=make_rng(5150)),
         inertia=InertiaSpec(np.diag([1.0, 2.0, 3.0])),
         potential=POTENTIALS[potential](),
@@ -88,8 +84,9 @@ def test_campaign_matches_one_filter_run_per_trial(potential, mode, noise, trial
         schedule=0.05 * np.arange(1, 5),
         noise=NoiseSpec(sigma_vec=sigma_vec, sigma_gyro=sigma_gyro),
     )
-    integ = IntegratorConfig(step=5e-3)
-    fcfg = FilterConfig(Pi=1.5 * np.eye(3), Gamma=4.0 * np.eye(3), integrator=integ)
+
+
+def _assert_campaign_matches_reference(scn, fcfg, integ, mode, trials):
     omega_weight = 2.0 * np.eye(3)
     summary = montecarlo_summary(scn, fcfg, omega_weight, integ, mode, trials, 100)
     ref = _reference_metrics(scn, fcfg, omega_weight, integ, mode, trials, 100)
@@ -106,6 +103,47 @@ def test_campaign_matches_one_filter_run_per_trial(potential, mode, noise, trial
             np.testing.assert_allclose(got, per_epoch, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(summary["aggregate"][f"{name}_{stat}"], overall,
                                        rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 7])
+@pytest.mark.parametrize("noise", sorted(NOISES))
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_campaign_matches_one_filter_run_per_trial(potential, mode, noise, trials):
+    integ = IntegratorConfig(step=5e-3)
+    fcfg = FilterConfig(Pi=1.5 * np.eye(3), Gamma=4.0 * np.eye(3), integrator=integ)
+    _assert_campaign_matches_reference(_scenario(potential, *NOISES[noise]), fcfg, integ, mode,
+                                       trials)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+def test_campaign_steps_the_filter_with_the_filter_integrator(mode, trials):
+    # The truth and the filter may integrate with different steps.
+    fcfg = FilterConfig(Pi=1.5 * np.eye(3), Gamma=4.0 * np.eye(3),
+                        integrator=IntegratorConfig(step=2e-2))
+    _assert_campaign_matches_reference(_scenario("nonlinear", *NOISES["both"]), fcfg,
+                                       IntegratorConfig(step=5e-3), mode, trials)
+
+
+def test_noise_free_campaign_matches_one_filter_run():
+    integ = IntegratorConfig(step=5e-3)
+    fcfg = FilterConfig(integrator=integ)
+    for mode in ("no_gyro", "with_gyro"):
+        _assert_campaign_matches_reference(_scenario("linear", 0.0, 0.0), fcfg, integ, mode, 3)
+
+
+def test_one_body_state_rejects_stacks():
+    C = so3.exp_so3(so3.hat([0.4, -0.7, 1.1]))
+    W = so3.hat([0.8, -0.5, 1.0])
+    with pytest.raises(NotRotation):
+        BodyState(0.0, np.array([C, C]), np.array([W, W]))
+    with pytest.raises(ShapeMismatch):
+        BodyState(0.0, C, np.array([W, W]))
+    refs = clustered_references(7, 0.25, rng=make_rng(5150))
+    with pytest.raises(ShapeMismatch):
+        ScenarioSpec(refs=np.array([refs, refs]), inertia=InertiaSpec(np.eye(3)),
+                     potential=zero_potential(), init=BodyState(0.0, C, W), schedule=[0.1])
 
 
 # ---------------------------------------------------------------------------
