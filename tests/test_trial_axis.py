@@ -61,7 +61,7 @@ POTENTIALS = {
     "linear": lambda: linear_potential([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, -0.25]]),
     "nonlinear": _nonlinear_potential,
 }
-NOISES = {"vec": (0.002, 0.0), "gyro": (0.0, 0.003), "both": (0.002, 0.003)}
+NOISES = {"none": (0.0, 0.0), "vec": (0.002, 0.0), "gyro": (0.0, 0.003), "both": (0.002, 0.003)}
 
 
 def _reference_metrics(scn, fcfg, omega_weight, integ, mode, trials, seed):
@@ -124,13 +124,6 @@ def test_campaign_steps_the_filter_with_the_filter_integrator(mode, trials):
                         integrator=IntegratorConfig(step=2e-2))
     _assert_campaign_matches_reference(_scenario("nonlinear", *NOISES["both"]), fcfg,
                                        IntegratorConfig(step=5e-3), mode, trials)
-
-
-def test_noise_free_campaign_matches_one_filter_run():
-    integ = IntegratorConfig(step=5e-3)
-    fcfg = FilterConfig(integrator=integ)
-    for mode in ("no_gyro", "with_gyro"):
-        _assert_campaign_matches_reference(_scenario("linear", 0.0, 0.0), fcfg, integ, mode, 3)
 
 
 def test_one_body_state_rejects_stacks():
