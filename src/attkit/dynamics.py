@@ -9,7 +9,8 @@ G = dV/dC is G^T C - C^T G.
 
 Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
-4th-order Munthe-Kaas Runge-Kutta scheme.
+4th-order Munthe-Kaas Runge-Kutta scheme. A free body's rates do not involve
+the attitude, so its exponentials are formed for a block of steps at once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismat
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
+_FOLD_BLOCK = 256  # free-body steps whose exponentials are formed in one call
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +68,10 @@ class PotentialModel:
     value maps a rotation C to the scalar potential energy; gradient maps C
     to the 3x3 matrix of partial derivatives with respect to the entries of
     C. The library forms the skew moment from the gradient itself, and
-    calls gradient with one 3x3 attitude at a time.
+    calls gradient with one 3x3 attitude at a time. is_zero declares a free
+    body: gradient is never called, the stage exponentials are skipped, and
+    the attitude's exponentials are formed per block of steps. Set on a
+    non-zero potential, it silently drops the moment.
     """
 
     value: Callable[[np.ndarray], float]
@@ -164,11 +169,9 @@ def euler_rhs(
 
 def _make_rhs(inertia, potential):
     # Angular acceleration vee(Omegadot) on plain floats: numpy call dispatch
-    # dominates the cost at 3-vector sizes. Only a non-zero potential makes it
-    # depend on the attitude, so only then is the stage attitude C exp(hat(s))
-    # formed; the free body skips three exponentials per step. The same code
-    # advances B bodies at once when the rate components are (B,) arrays and
-    # C is (B, 3, 3).
+    # dominates the cost at 3-vector sizes. Only in a potential is the stage
+    # attitude C exp(hat(s)) formed (see PotentialModel). The same code advances
+    # B bodies at once when the rate components are (B,) arrays and C (B, 3, 3).
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
     gradient = None if potential.is_zero else potential.gradient
@@ -210,7 +213,7 @@ def _gradient(gradient, C):
 
 
 def _make_step(inertia, potential):
-    # Munthe-Kaas RK4 step on plain floats.
+    # Munthe-Kaas RK4 step on plain floats: the increment th of C exp(th), new rate.
     f = _make_rhs(inertia, potential)
 
     def step(C, w, h):
@@ -240,8 +243,9 @@ def _make_step(inertia, potential):
             w1 + sixth * (l1[1] + 2.0 * l2[1] + 2.0 * l3[1] + l4[1]),
             w2 + sixth * (l1[2] + 2.0 * l2[2] + 2.0 * l3[2] + l4[2]),
         )
-        return C @ so3._exp_vec(th), wn
+        return th, wn
 
+    step.free = potential.is_zero  # whether C can wait: see _advance
     return step
 
 
@@ -293,22 +297,35 @@ def propagate(
 def _advance(step, C, w, span, h):
     # Steps (C, w) over span >= 0: full steps of h, then a partial step. The
     # rate w is three floats, or three (B,) arrays for B bodies at once,
-    # whose fastest one the pi/4 guard checks.
+    # whose fastest one the pi/4 guard checks. C moves every step in a
+    # potential, whose stages read it, and once per block for a free body.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
+    ths = []
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
         r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
         if wmag * dt > MAX_STEP_ROTATION:
-            raise StepTooLarge(
-                f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
-            )
-        C, w = step(C, w, dt)
-    return C, w
+            raise StepTooLarge(f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
+        th, w = step(C, w, dt)
+        if step.free:
+            ths.append(th)
+        else:
+            C = C @ so3._exp_vec(th)
+        if len(ths) == _FOLD_BLOCK:
+            C, ths = _fold(C, ths), []
+    return _fold(C, ths), w
+
+
+def _fold(C, ths):
+    # C exp(th_1) exp(th_2) ... left to right, bit for bit as step by step.
+    for E in so3._exp_vec(np.array(ths).swapaxes(0, 1)) if ths else ():
+        C = C @ E
+    return C
 
 
 @dataclass(frozen=True)

@@ -143,12 +143,7 @@ def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
     Gamma = np.asarray(Gamma, dtype=float)
     Omega_minus = np.asarray(Omega_minus, dtype=float)
     Omega_meas = np.asarray(Omega_meas, dtype=float)
-    rhs = (
-        X @ Omega_meas
-        + Omega_meas @ X
-        + Gamma @ Omega_minus
-        + Omega_minus @ Gamma
-    )
+    rhs = X @ Omega_meas + Omega_meas @ X + Gamma @ Omega_minus + Omega_minus @ Gamma
     # Read directly: rhs scales with the weights, which vee's absolute skew
     # tolerance does not. rhs.T puts a stack axis last.
     Rt = rhs.T
@@ -217,20 +212,13 @@ def run_filter(
                 )
 
     if init is None:
-        init = initial_estimate(batches[0])
-    if abs(init.t - batches[0].t) > 1e-12 * max(1.0, abs(init.t)):
+        out = [initial_estimate(batches[0])]
+    elif abs(init.t - batches[0].t) > 1e-12 * max(1.0, abs(init.t)):
         raise ValueError(
             f"initial estimate time {init.t!r} does not match first epoch {batches[0].t!r}"
         )
-
-    first = FilterEstimate(
-        t=batches[0].t,
-        C_minus=init.C_plus,
-        C_plus=init.C_plus,
-        Omega_minus=init.Omega_plus,
-        Omega_plus=init.Omega_plus,
-    )
-    out = [first]
+    else:
+        out = [initial_estimate(batches[0], init.C_plus, init.Omega_plus)]
     step = _make_step(inertia, potential)
     for batch in batches[1:]:
         out.append(_filter_epoch(step, out[-1], batch, cfg, mode))

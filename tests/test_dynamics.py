@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ def test_integrator_config_rejects_infinite_step():
     # An infinite step would cover any span in one step that no guard sees.
     with pytest.raises(ValueError, match="finite"):
         IntegratorConfig(step=np.inf)
+
+
+def test_free_body_propagation_memory_is_bounded():
+    # The attitude's exponentials are formed a block of steps at a time; all
+    # 20,000 of them at once would take about 9 MB.
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    start = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
+    tracemalloc.start()
+    try:
+        end = propagate(start, spec, zero_potential(), 20.0, IntegratorConfig(step=1e-3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end.t == 20.0
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------

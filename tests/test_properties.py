@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from attkit import so3, wahba  # noqa: E402
+from attkit import dynamics, so3, wahba  # noqa: E402
 from attkit.dynamics import (  # noqa: E402
     BodyState,
     InertiaSpec,
@@ -83,6 +83,52 @@ def test_propagation_composes_at_step_aligned_times(r, w, h, na, nb, coeff):
     split = propagate(propagate(start, inertia, pot, a, cfg), inertia, pot, b, cfg)
     assert np.abs(split.C - direct.C).max() <= 1e-12
     assert np.abs(split.Omega - direct.Omega).max() <= 1e-12
+
+
+def _step_by_step(step, C, w, span, h):
+    # Every step followed by its own attitude update C exp(th), with the span
+    # split into steps as _advance splits it.
+    n_full = int(math.floor(span / h + 1e-12))
+    rem = span - n_full * h
+    for dt in [h] * n_full + ([rem] if rem > 1e-12 * max(1.0, abs(span)) else []):
+        th, w = step(C, w, dt)
+        C = C @ so3._exp_vec(th)
+    return C, w
+
+
+@SETTINGS
+@given(
+    st.tuples(*[st.floats(1.0, 3.0)] * 3),
+    rotation_vector,
+    # One body (a list of one rate, passed as floats) or a stack of B trials.
+    st.booleans(),
+    st.lists(st.tuples(vec3, st.floats(-8.0, 0.5)), min_size=1, max_size=4),
+    st.floats(1e-4, 1e-2),
+    # Up to 600 steps: spans of more than one 256-step block.
+    st.integers(1, 600),
+    # No partial step, a tiny one (its increment takes the series branch of
+    # the exponential beside larger ones), or an ordinary one.
+    st.one_of(st.just(0.0), st.floats(1e-7, 1e-5), st.floats(0.05, 0.95)),
+    st.sampled_from([None, [[0.3, -0.2, 0.1], [0.0, 0.4, -0.3], [0.2, 0.1, -0.5]]]),
+)
+def test_advance_equals_the_step_by_step_attitude_update(
+    eigs, r, stacked, rates, h, n, frac, coeff
+):
+    # Slow rates, from 1e-8 rad/s up, give increments below the series
+    # branch's 1e-6 threshold in the same block as fast ones.
+    inertia = InertiaSpec(np.diag(eigs))
+    pot = zero_potential() if coeff is None else linear_potential(coeff)
+    step = dynamics._make_step(inertia, pot)
+    w = np.array([np.array(v) * 10.0**m for v, m in rates])
+    if stacked:
+        C, w = np.array([_rotation(np.multiply(r, k + 1) / 4) for k in range(len(w))]), tuple(w.T)
+    else:
+        C, w = _rotation(r), w[0].tolist()
+    span = (n + frac) * h
+    C_adv, w_adv = dynamics._advance(step, C, w, span, h)
+    C_ref, w_ref = _step_by_step(step, C, w, span, h)
+    assert np.array_equal(C_adv, C_ref)
+    assert np.array_equal(np.asarray(w_adv), np.asarray(w_ref))
 
 
 @SETTINGS
