@@ -310,7 +310,9 @@ def _advance(step, C, w, span, h):
         r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
         if wmag * dt > MAX_STEP_ROTATION:
-            raise StepTooLarge(f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
+            raise StepTooLarge(
+                f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
+            )
         th, w = step(C, w, dt)
         if step.free:
             ths.append(th)

@@ -143,7 +143,12 @@ def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
     Gamma = np.asarray(Gamma, dtype=float)
     Omega_minus = np.asarray(Omega_minus, dtype=float)
     Omega_meas = np.asarray(Omega_meas, dtype=float)
-    rhs = X @ Omega_meas + Omega_meas @ X + Gamma @ Omega_minus + Omega_minus @ Gamma
+    rhs = (
+        X @ Omega_meas
+        + Omega_meas @ X
+        + Gamma @ Omega_minus
+        + Omega_minus @ Gamma
+    )
     # Read directly: rhs scales with the weights, which vee's absolute skew
     # tolerance does not. rhs.T puts a stack axis last.
     Rt = rhs.T
@@ -211,14 +216,12 @@ def run_filter(
                     f"batch {k} lacks omega_meas/omega_weight in with_gyro mode"
                 )
 
-    if init is None:
-        out = [initial_estimate(batches[0])]
-    elif abs(init.t - batches[0].t) > 1e-12 * max(1.0, abs(init.t)):
+    if init is not None and abs(init.t - batches[0].t) > 1e-12 * max(1.0, abs(init.t)):
         raise ValueError(
             f"initial estimate time {init.t!r} does not match first epoch {batches[0].t!r}"
         )
-    else:
-        out = [initial_estimate(batches[0], init.C_plus, init.Omega_plus)]
+    C0, Omega0 = (None, None) if init is None else (init.C_plus, init.Omega_plus)
+    out = [initial_estimate(batches[0], C0, Omega0)]
     step = _make_step(inertia, potential)
     for batch in batches[1:]:
         out.append(_filter_epoch(step, out[-1], batch, cfg, mode))
