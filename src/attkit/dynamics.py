@@ -27,7 +27,9 @@ from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismat
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
-_FOLD_BLOCK = 256  # free-body steps whose exponentials are formed in one call
+# A free body's step exponentials are formed per block of at most _FOLD_BLOCK
+# steps x trials; one stacked call forms them when a block has _STACK_MIN steps.
+_FOLD_BLOCK, _STACK_MIN = 1024, 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +307,7 @@ def _advance(step, C, w, span, h):
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    ths = []
+    ths, block = [], max(1, _FOLD_BLOCK // getattr(w[0], "size", 1))
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
         r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
@@ -318,14 +320,15 @@ def _advance(step, C, w, span, h):
             ths.append(th)
         else:
             C = C @ so3._exp_vec(th)
-        if len(ths) == _FOLD_BLOCK:
+        if len(ths) == block:
             C, ths = _fold(C, ths), []
     return _fold(C, ths), w
 
 
 def _fold(C, ths):
     # C exp(th_1) exp(th_2) ... left to right, bit for bit as step by step.
-    for E in so3._exp_vec(np.array(ths).swapaxes(0, 1)) if ths else ():
+    stack = len(ths) >= _STACK_MIN
+    for E in so3._exp_vec(np.array(ths).swapaxes(0, 1)) if stack else map(so3._exp_vec, ths):
         C = C @ E
     return C
 

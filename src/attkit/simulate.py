@@ -167,15 +167,9 @@ def gen_batches_from_truth(
     for state in truth:
         body = gen_vector_measurements(state, scn.refs, scn.noise, rng)
         omega_meas = gen_gyro_measurement(state.Omega, scn.noise, rng)
-        batches.append(
-            MeasurementBatch(
-                t=state.t,
-                refs=scn.refs,
-                body=body,
-                omega_meas=omega_meas,
-                omega_weight=omega_weight,
-            )
-        )
+        batches.append(MeasurementBatch(
+            t=state.t, refs=scn.refs, body=body, omega_meas=omega_meas, omega_weight=omega_weight
+        ))
     return batches
 
 
@@ -254,10 +248,7 @@ def montecarlo_summary(
         # One epoch's measurements at a time; without noise they are one
         # measurement shared by every trial.
         (batch,) = gen_batches_from_truth([state], scn, rng, omega_weight)
-        if k == 0:
-            est = initial_estimate(batch)
-        else:
-            est = _filter_epoch(step, est, batch, fcfg, mode)
+        est = initial_estimate(batch) if k == 0 else _filter_epoch(step, est, batch, fcfg, mode)
         metrics[:, k] = filter_errors([state], [est])[0]
 
     names = ("err_att_pre", "err_att_post", "err_omega_pre", "err_omega_post")

@@ -275,18 +275,24 @@ def test_integrator_config_rejects_infinite_step():
 
 
 def test_free_body_propagation_memory_is_bounded():
-    # The attitude's exponentials are formed a block of steps at a time; all
-    # 20,000 of them at once would take about 9 MB.
+    # The attitude's exponentials are formed a block of steps x trials at a
+    # time. All 5,000 of one body's at once would take about 2.5 MB, and
+    # blocks of 256 steps of 50 trials about 4.9 MB.
     spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
     start = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
+    step = dynamics._make_step(spec, zero_potential())
+    rates = tuple(np.random.default_rng(0).normal(size=(3, 50)))
     tracemalloc.start()
     try:
-        end = propagate(start, spec, zero_potential(), 20.0, IntegratorConfig(step=1e-3))
-        _, peak = tracemalloc.get_traced_memory()
+        end = propagate(start, spec, zero_potential(), 5.0, IntegratorConfig(step=1e-3))
+        _, one = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        C, _ = dynamics._advance(step, np.broadcast_to(np.eye(3), (50, 3, 3)), rates, 0.3, 1e-3)
+        _, stacked = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert end.t == 20.0
-    assert peak < 1e6
+    assert end.t == 5.0 and C.shape == (50, 3, 3)
+    assert one < 1e6 and stacked < 1e6
 
 
 # ---------------------------------------------------------------------------

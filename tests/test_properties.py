@@ -5,6 +5,7 @@ few dozen examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,15 +107,18 @@ def _step_by_step(step, C, w, span, h):
     st.sampled_from(["one", "stacked", "shared attitude"]),
     st.lists(st.tuples(vec3, st.floats(-8.0, 0.5)), min_size=1, max_size=4),
     st.floats(1e-4, 1e-2),
-    # Up to 600 steps: spans of more than one 256-step block.
-    st.integers(1, 600),
+    # Blocks of 1 to 24 steps x trials in place of the module's 1,024, so
+    # that a short span holds several: blocks of fewer than 5 steps are
+    # folded one exponential at a time, longer ones in one stacked call.
+    st.integers(1, 24),
+    st.integers(1, 120),
     # No partial step, a tiny one (its increment takes the series branch of
     # the exponential beside larger ones), or an ordinary one.
     st.one_of(st.just(0.0), st.floats(1e-7, 1e-5), st.floats(0.05, 0.95)),
     st.sampled_from([None, [[0.3, -0.2, 0.1], [0.0, 0.4, -0.3], [0.2, 0.1, -0.5]]]),
 )
 def test_advance_equals_the_step_by_step_attitude_update(
-    eigs, r, layout, rates, h, n, frac, coeff
+    eigs, r, layout, rates, h, block, n, frac, coeff
 ):
     # Slow rates, from 1e-8 rad/s up, give increments below the series
     # branch's 1e-6 threshold in the same block as fast ones.
@@ -128,7 +132,8 @@ def test_advance_equals_the_step_by_step_attitude_update(
     if layout == "stacked":
         C = np.array([_rotation(np.multiply(r, k + 1) / 4) for k in range(len(rates))])
     span = (n + frac) * h
-    C_adv, w_adv = dynamics._advance(step, C, w, span, h)
+    with mock.patch.object(dynamics, "_FOLD_BLOCK", block):
+        C_adv, w_adv = dynamics._advance(step, C, w, span, h)
     C_ref, w_ref = _step_by_step(step, C, w, span, h)
     assert np.array_equal(C_adv, C_ref)
     assert np.array_equal(np.asarray(w_adv), np.asarray(w_ref))
