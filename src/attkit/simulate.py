@@ -70,8 +70,6 @@ class ScenarioSpec:
 
 def gen_truth(scn: ScenarioSpec, cfg: IntegratorConfig | None = None) -> list[BodyState]:
     """True states at every scheduled epoch, propagated from the initial state."""
-    if cfg is None:
-        cfg = IntegratorConfig()
     out = []
     state = scn.init
     for t in scn.schedule:
@@ -167,9 +165,15 @@ def gen_batches_from_truth(
     for state in truth:
         body = gen_vector_measurements(state, scn.refs, scn.noise, rng)
         omega_meas = gen_gyro_measurement(state.Omega, scn.noise, rng)
-        batches.append(MeasurementBatch(
-            t=state.t, refs=scn.refs, body=body, omega_meas=omega_meas, omega_weight=omega_weight
-        ))
+        batches.append(
+            MeasurementBatch(
+                t=state.t,
+                refs=scn.refs,
+                body=body,
+                omega_meas=omega_meas,
+                omega_weight=omega_weight,
+            )
+        )
     return batches
 
 
@@ -255,13 +259,10 @@ def montecarlo_summary(
     per_epoch: dict = {"t": [float(t) for t in scn.schedule]}
     aggregate: dict = {}
     for j, name in enumerate(names):
-        col = metrics[:, :, j]
-        per_epoch[f"{name}_mean"] = col.mean(axis=0).tolist()
-        per_epoch[f"{name}_std"] = col.std(axis=0).tolist()
-        per_epoch[f"{name}_max"] = col.max(axis=0).tolist()
-        aggregate[f"{name}_mean"] = float(col.mean())
-        aggregate[f"{name}_std"] = float(col.std())
-        aggregate[f"{name}_max"] = float(col.max())
+        for stat in ("mean", "std", "max"):
+            reduce = getattr(metrics[:, :, j], stat)
+            per_epoch[f"{name}_{stat}"] = reduce(axis=0).tolist()
+            aggregate[f"{name}_{stat}"] = float(reduce())
     return {
         "schema": 1,
         "trials": trials,

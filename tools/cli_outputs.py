@@ -16,7 +16,7 @@ The commands:
 * 22 run files: the zero and a linear potential, times five noise settings
   (none, sigma_vec, sigma_gyro, both, both at 0.01), times two schedules
   (a regular one, and irregular times whose gaps reach 0.6 s, so a filter
-  interval holds partial steps and more than 256 integrator steps), plus
+  interval holds partial steps and up to 600 integrator steps), plus
   one each like the benchmark's ``filter_free`` and ``filter_potential``.
   On each: ``propagate``, ``filter`` in both modes, and ``montecarlo`` in
   both modes with ``--trials`` 1, 3 and 7;
