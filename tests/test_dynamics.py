@@ -276,8 +276,8 @@ def test_integrator_config_rejects_infinite_step():
 
 def test_free_body_propagation_memory_is_bounded():
     # The attitude's exponentials are formed a block of steps x trials at a
-    # time. All 5,000 of one body's at once would take about 2.5 MB, and
-    # blocks of 256 steps of 50 trials about 4.9 MB.
+    # time. All 5,000 of one body's at once would take about 2.5 MB, and a
+    # bound on steps alone (256 steps of 50 trials) about 4.9 MB.
     spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
     start = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
     step = dynamics._make_step(spec, zero_potential())
