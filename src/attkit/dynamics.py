@@ -11,6 +11,8 @@ Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
 4th-order Munthe-Kaas Runge-Kutta scheme. A free body's rates do not involve
 the attitude, so its exponentials are formed for a block of steps at once.
+In a potential the attitude moves every step, and an interval is stepped on
+its nine components as plain floats (or (B,) arrays for B bodies).
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ MAX_STEP_ROTATION = math.pi / 4
 # A free body's step exponentials are formed per block of at most _FOLD_BLOCK
 # steps x trials; one stacked call forms them when a block has _STACK_MIN steps.
 _FOLD_BLOCK, _STACK_MIN = 1024, 5
+_I3 = np.eye(3)
+# A declared gradient is checked at the identity and at this rotation.
+_PROBE = so3._exp_vec((0.6, -0.8, 1.1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,37 +68,51 @@ class InertiaSpec:
         return cls(0.5 * np.trace(K) * np.eye(3) - K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialModel:
     """Attitude-dependent potential with its ambient 3x3 gradient.
 
     value maps a rotation C to the scalar potential energy; gradient maps C
     to the 3x3 matrix of partial derivatives with respect to the entries of
-    C. The library forms the skew moment from the gradient itself, and
-    calls gradient with one 3x3 attitude at a time. is_zero declares a free
-    body: gradient is never called, the stage exponentials are skipped, and
-    the attitude's exponentials are formed per block of steps. Set on a
-    non-zero potential, it silently drops the moment.
+    C. The library forms the skew moment from the gradient itself.
+
+    coeff declares a linear potential V = trace(A^T C) by its constant
+    gradient A; construction raises ValueError unless gradient returns
+    exactly A at the identity and at one other fixed rotation. The
+    integrator then never calls gradient. An all-zero coeff is a free body,
+    whose attitude exponentials are formed per block of steps. With coeff
+    None, gradient is called at every stage attitude, one 3x3 attitude at a
+    time.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    is_zero: bool = False
+    coeff: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.coeff is None:
+            return
+        A = np.array(self.coeff, dtype=float)
+        for C in (_I3, _PROBE):
+            if not np.array_equal(_gradient(self.gradient, C), A, equal_nan=True):
+                raise ValueError(f"potential gradient at\n{C}\nis not the declared coeff\n{A}")
+        A.flags.writeable = False
+        object.__setattr__(self, "coeff", A)
 
 
 def zero_potential() -> PotentialModel:
     """Free rigid body: identically zero potential."""
-    return PotentialModel(
-        value=lambda C: 0.0, gradient=lambda C: np.zeros((3, 3)), is_zero=True
-    )
+    return linear_potential(np.zeros((3, 3)))
 
 
 def linear_potential(A) -> PotentialModel:
     """Potential trace(A^T C) with constant gradient A (uniform-field model)."""
     A = np.array(A, dtype=float)
+    A.flags.writeable = False  # gradient hands it out; it must stay coeff
     return PotentialModel(
         value=lambda C, _A=A: float(np.tensordot(_A, C)),
         gradient=lambda C, _A=A: _A,
+        coeff=A,
     )
 
 
@@ -161,7 +180,7 @@ def euler_rhs(
     can only come from a malformed potential gradient (NaN or inf).
     """
     C, Omega = state.C, state.Omega
-    w = _make_rhs(inertia, potential)(*so3.vee(Omega).tolist(), C)
+    w = _make_rhs(inertia, potential)(*so3.vee(Omega).tolist(), _components(C))
     if not all(map(math.isfinite, w)):
         raise PotentialGradientNotSkewCompatible(
             f"non-finite angular acceleration {w!r} in the dynamics right-hand side"
@@ -172,32 +191,32 @@ def euler_rhs(
 def _make_rhs(inertia, potential):
     # Angular acceleration vee(Omegadot) on plain floats: numpy call dispatch
     # dominates the cost at 3-vector sizes. Only in a potential is the stage
-    # attitude C exp(hat(s)) formed (see PotentialModel). The same code advances
-    # B bodies at once when the rate components are (B,) arrays and C (B, 3, 3).
+    # attitude C exp(hat(s)) formed, on the nine components c of C. The same
+    # code advances B bodies at once when the rate components and c are (B,)
+    # arrays.
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
-    gradient = None if potential.is_zero else potential.gradient
+    free, coeff = _is_free(potential), potential.coeff
+    g = None if coeff is None else coeff.ravel().tolist()
 
-    def f(w0, w1, w2, C, s=None):
+    def f(w0, w1, w2, c, s=None):
         m0 = k00 * w0 + k01 * w1 + k02 * w2
         m1 = k10 * w0 + k11 * w1 + k12 * w2
         m2 = k20 * w0 + k21 * w1 + k22 * w2
         c0 = m1 * w2 - m2 * w1
         c1 = m2 * w0 - m0 * w2
         c2 = m0 * w1 - m1 * w0
-        if gradient is not None:
+        if not free:
             if s is not None:
-                C = C @ so3._exp_vec(s)
-            # vee(G^T C - C^T G), with the gradient taken one attitude at a
-            # time; for B bodies each m_ij is the (B,) array of their entries.
-            if C.ndim == 2:
-                M = (_gradient(gradient, C).T @ C).tolist()
-            else:
-                M = np.moveaxis(np.array([_gradient(gradient, c) for c in C]).mT @ C, 0, -1)
-            (_, m01, m02), (m10, _, m12), (m20, m21, _) = M
-            c0 += m21 - m12
-            c1 += m02 - m20
-            c2 += m10 - m01
+                c = _rotate(c, s)
+            # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = (
+                g if g is not None else _gradient_components(potential.gradient, c)
+            )
+            x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
+            c0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+            c1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+            c2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
         return (
             i00 * c0 + i01 * c1 + i02 * c2,
             i10 * c0 + i11 * c1 + i12 * c2,
@@ -207,6 +226,10 @@ def _make_rhs(inertia, potential):
     return f
 
 
+def _is_free(potential):
+    return potential.coeff is not None and not potential.coeff.any()
+
+
 def _gradient(gradient, C):
     G = np.asarray(gradient(C), dtype=float)
     if G.shape != (3, 3):
@@ -214,26 +237,67 @@ def _gradient(gradient, C):
     return G
 
 
+def _gradient_components(gradient, c):
+    # An undeclared gradient at the attitude with components c, or at each
+    # attitude of a stack, taken one 3x3 attitude at a time.
+    C = _matrix(c)
+    return _components(
+        _gradient(gradient, C) if C.ndim == 2 else np.array([_gradient(gradient, m) for m in C])
+    )
+
+
+def _components(C):
+    # The nine entries of a 3x3 attitude, row by row, as floats; of a stack
+    # (B, 3, 3), as nine (B,) arrays.
+    C = np.asarray(C, dtype=float)
+    return tuple(C.ravel().tolist()) if C.ndim == 2 else tuple(C.reshape(-1, 9).T)
+
+
+def _matrix(c):
+    # Inverse of _components: the 3x3 attitude, or the (B, 3, 3) stack.
+    m = np.array(c)
+    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
+
+
+def _rotate(c, v):
+    # The components of C exp(hat(v)) from those of C: the attitude update
+    # of a body in a potential, at its stages and at the end of each step.
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = so3._exp_components(*v)
+    return (
+        x00 * e00 + x01 * e10 + x02 * e20,
+        x00 * e01 + x01 * e11 + x02 * e21,
+        x00 * e02 + x01 * e12 + x02 * e22,
+        x10 * e00 + x11 * e10 + x12 * e20,
+        x10 * e01 + x11 * e11 + x12 * e21,
+        x10 * e02 + x11 * e12 + x12 * e22,
+        x20 * e00 + x21 * e10 + x22 * e20,
+        x20 * e01 + x21 * e11 + x22 * e21,
+        x20 * e02 + x21 * e12 + x22 * e22,
+    )
+
+
 def _make_step(inertia, potential):
-    # Munthe-Kaas RK4 step on plain floats: the increment th of C exp(th), new rate.
+    # Munthe-Kaas RK4 step on plain floats: the increment th of C exp(th), new
+    # rate. c is C's components in a potential; a free body's step ignores it.
     f = _make_rhs(inertia, potential)
 
-    def step(C, w, h):
+    def step(c, w, h):
         w0, w1, w2 = w
         hh = 0.5 * h
-        l1 = f(w0, w1, w2, C)
+        l1 = f(w0, w1, w2, c)
         s0, s1, s2 = hh * w0, hh * w1, hh * w2
         u0, u1, u2 = w0 + hh * l1[0], w1 + hh * l1[1], w2 + hh * l1[2]
         a2 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l2 = f(u0, u1, u2, C, (s0, s1, s2))
+        l2 = f(u0, u1, u2, c, (s0, s1, s2))
         s0, s1, s2 = hh * a2[0], hh * a2[1], hh * a2[2]
         u0, u1, u2 = w0 + hh * l2[0], w1 + hh * l2[1], w2 + hh * l2[2]
         a3 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l3 = f(u0, u1, u2, C, (s0, s1, s2))
+        l3 = f(u0, u1, u2, c, (s0, s1, s2))
         s0, s1, s2 = h * a3[0], h * a3[1], h * a3[2]
         u0, u1, u2 = w0 + h * l3[0], w1 + h * l3[1], w2 + h * l3[2]
         a4 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l4 = f(u0, u1, u2, C, (s0, s1, s2))
+        l4 = f(u0, u1, u2, c, (s0, s1, s2))
         sixth = h / 6.0
         th = (
             sixth * (w0 + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
@@ -247,7 +311,7 @@ def _make_step(inertia, potential):
         )
         return th, wn
 
-    step.free = potential.is_zero  # whether C can wait: see _advance
+    step.free = _is_free(potential)  # whether C can wait: see _advance
     return step
 
 
@@ -299,8 +363,9 @@ def propagate(
 def _advance(step, C, w, span, h):
     # Steps (C, w) over span >= 0: full steps of h, then a partial step. The
     # rate w is three floats, or three (B,) arrays for B bodies at once,
-    # whose fastest one the pi/4 guard checks. C moves every step in a
-    # potential, whose stages read it, and once per block for a free body.
+    # whose fastest one the pi/4 guard checks. In a potential, whose stages
+    # read it, C moves every step as its components; for a free body, once
+    # per block.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
@@ -308,6 +373,7 @@ def _advance(step, C, w, span, h):
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
     ths, block = [], max(1, _FOLD_BLOCK // getattr(w[0], "size", 1))
+    c = C if step.free else _components(C)
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
         r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
@@ -315,14 +381,14 @@ def _advance(step, C, w, span, h):
             raise StepTooLarge(
                 f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
             )
-        th, w = step(C, w, dt)
+        th, w = step(c, w, dt)
         if step.free:
             ths.append(th)
         else:
-            C = C @ so3._exp_vec(th)
+            c = _rotate(c, th)
         if len(ths) == block:
-            C, ths = _fold(C, ths), []
-    return _fold(C, ths), w
+            c, ths = _fold(c, ths), []
+    return (_fold(c, ths) if step.free else _matrix(c)), w
 
 
 def _fold(C, ths):

@@ -65,21 +65,49 @@ def _exp_vec(w) -> np.ndarray:
     # Rodrigues formula in axis-angle coordinates; w is a plain 3-sequence,
     # or three equally shaped arrays for a stack of rotations.
     x, y, z = w
-    t2 = x * x + y * y + z * z
-    t = np.sqrt(t2)
-    if t.ndim:
-        small = t < 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)[..., None, None]
-            b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2)[..., None, None]
-    elif t < 1e-6:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-    else:
-        a = np.sin(t) / t
-        b = (1.0 - np.cos(t)) / t2
+    a, b = _rodrigues(x * x + y * y + z * z)
+    if getattr(a, "ndim", 0):
+        a, b = a[..., None, None], b[..., None, None]
     W = hat(w)
     return _I3 + a * W + b * (W @ W)
+
+
+def _exp_components(x, y, z):
+    # exp(hat(w)) as its nine entries, row by row: the Rodrigues formula on
+    # plain floats, or on equally shaped arrays for a stack. OpenBLAS fuses
+    # the diagonal of _exp_vec's W @ W with an FMA, so the two differ in a
+    # few entries, by at most 2 eps.
+    xx, yy, zz = x * x, y * y, z * z
+    a, b = _rodrigues(xx + yy + zz)
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    ax, ay, az = a * x, a * y, a * z
+    return (
+        1.0 - b * (yy + zz), bxy - az, bxz + ay,
+        bxy + az, 1.0 - b * (xx + zz), byz - ax,
+        bxz - ay, byz + ax, 1.0 - b * (xx + yy),
+    )
+
+
+def _rodrigues(t2):
+    # The coefficients a = sin(t)/t and b = (1 - cos(t))/t^2 of
+    # exp(hat(w)) = I + a hat(w) + b hat(w)^2, at t2 = t^2 = |w|^2: a float,
+    # or an array for a stack. A series branch below t = 1e-6 avoids the 0/0.
+    # math's sqrt, sin and cos round as numpy's do, so a stack's coefficients
+    # equal one rotation's bit for bit.
+    if not getattr(t2, "ndim", 0):
+        t = math.sqrt(t2)
+        if t < 1e-6:
+            return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+        if t == math.inf:  # math's sin and cos raise here, numpy's give NaN
+            return math.nan, math.nan
+        return math.sin(t) / t, (1.0 - math.cos(t)) / t2
+    t = np.sqrt(t2)
+    small = t < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (
+            np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t),
+            np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2),
+        )
 
 
 def solve_skew_sylvester(K, m) -> np.ndarray:

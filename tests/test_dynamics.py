@@ -20,6 +20,7 @@ from attkit.dynamics import (
     zero_potential,
 )
 from attkit.errors import (
+    NotRotation,
     NotSymmetricPD,
     PotentialGradientNotSkewCompatible,
     ShapeMismatch,
@@ -170,7 +171,38 @@ def test_wrong_shape_gradient_raises_shape_mismatch(shape):
     rhs = dynamics._make_rhs(spec, bad)
     w = np.full(4, 0.1)
     with pytest.raises(ShapeMismatch, match=named):
-        rhs(w, w, w, np.stack([np.eye(3)] * 4), (w, w, w))
+        rhs(w, w, w, dynamics._components(np.stack([np.eye(3)] * 4)), (w, w, w))
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+def test_overflowing_potential_moment_raises_not_rotation(declared):
+    # The stage attitudes turn to NaN, as numpy's sin and cos of inf give,
+    # and the propagated attitude fails its check.
+    from attkit.dynamics import PotentialModel
+
+    A = np.full((3, 3), 1e300)
+    pot = linear_potential(A) if declared else PotentialModel(lambda C: 0.0, lambda C: A)
+    state = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
+    with np.errstate(all="ignore"), pytest.raises(NotRotation):
+        propagate(state, InertiaSpec(np.diag([1.0, 2.0, 3.0])), pot, 0.01)
+
+
+def test_declared_coeff_must_be_the_gradient():
+    from attkit.dynamics import PotentialModel
+
+    A = np.arange(9.0).reshape(3, 3) / 7.0
+    declared = PotentialModel(value=lambda C: 0.0, gradient=lambda C: A, coeff=A.tolist())
+    assert np.array_equal(declared.coeff, A) and not declared.coeff.flags.writeable
+    for gradient, coeff in [
+        (lambda C: A, np.zeros((3, 3))),  # a free body declared for a non-zero moment
+        (lambda C: A @ C, A),  # equal at the identity only
+        (lambda C: A, A + 1e-15),
+        (lambda C: A, A.ravel()),
+    ]:
+        with pytest.raises(ValueError, match="declared coeff"):
+            PotentialModel(value=lambda C: 0.0, gradient=gradient, coeff=coeff)
+    with pytest.raises(ShapeMismatch):
+        PotentialModel(value=lambda C: 0.0, gradient=lambda C: A.ravel(), coeff=A)
 
 
 # ---------------------------------------------------------------------------

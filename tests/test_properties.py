@@ -5,6 +5,7 @@ few dozen examples.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,11 +19,25 @@ from attkit.dynamics import (  # noqa: E402
     BodyState,
     InertiaSpec,
     IntegratorConfig,
+    PotentialModel,
     linear_potential,
     propagate,
     zero_potential,
 )
-from attkit.filters import update_omega_no_gyro, update_omega_with_gyro  # noqa: E402
+from attkit.filters import (  # noqa: E402
+    FilterConfig,
+    run_filter,
+    update_omega_no_gyro,
+    update_omega_with_gyro,
+)
+from attkit.simulate import (  # noqa: E402
+    NoiseSpec,
+    ScenarioSpec,
+    clustered_references,
+    gen_batches_from_truth,
+    gen_truth,
+    make_rng,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -88,13 +103,15 @@ def test_propagation_composes_at_step_aligned_times(r, w, h, na, nb, coeff):
 
 def _step_by_step(step, C, w, span, h):
     # Every step followed by its own attitude update C exp(th), with the span
-    # split into steps as _advance splits it.
+    # split into steps as _advance splits it. In a potential the update is the
+    # library's one update of the attitude's components.
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
+    c = C if step.free else dynamics._components(C)
     for dt in [h] * n_full + ([rem] if rem > 1e-12 * max(1.0, abs(span)) else []):
-        th, w = step(C, w, dt)
-        C = C @ so3._exp_vec(th)
-    return C, w
+        th, w = step(c, w, dt)
+        c = c @ so3._exp_vec(th) if step.free else dynamics._rotate(c, th)
+    return (c if step.free else dynamics._matrix(c)), w
 
 
 @SETTINGS
@@ -137,6 +154,91 @@ def test_advance_equals_the_step_by_step_attitude_update(
     C_ref, w_ref = _step_by_step(step, C, w, span, h)
     assert np.array_equal(C_adv, C_ref)
     assert np.array_equal(np.asarray(w_adv), np.asarray(w_ref))
+
+
+# Rotation angles from 1e-9 to pi, log-uniform, and around the exponential's
+# series threshold at 1e-6.
+angle = st.one_of(
+    st.floats(-9.0, math.log10(math.pi)).map(lambda e: min(10.0**e, math.pi)),
+    st.floats(5e-7, 2e-6),
+)
+
+
+def _axis_angle(axis, theta):
+    u = np.array(axis)
+    n = np.linalg.norm(u)
+    hypothesis.assume(n > 1e-3)
+    return (theta * u / n).tolist()
+
+
+@SETTINGS
+@given(vec3, angle)
+def test_component_exponential_lands_in_so3(axis, theta):
+    # Residuals in exact rational arithmetic on the rounded entries. The
+    # bound is not tight: over 4M random draws the worst orthogonality
+    # residual was 6.7 eps, and _exp_vec's own 7.6 eps.
+    E = [Fraction(e) for e in so3._exp_components(*_axis_angle(axis, theta))]
+    rows = [E[0:3], E[3:6], E[6:9]]
+    for i in range(3):
+        for j in range(3):
+            dot = sum(rows[k][i] * rows[k][j] for k in range(3))
+            assert abs(dot - (i == j)) <= 8 * Fraction(EPS)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert abs(det - 1) <= 8 * Fraction(EPS)
+
+
+@SETTINGS
+@given(vec3, angle)
+def test_component_exponential_matches_exp_vec(axis, theta):
+    # _exp_vec's W @ W runs on BLAS, which fuses its diagonal with an FMA;
+    # over 4M random draws the entries differed by at most 2 eps.
+    w = _axis_angle(axis, theta)
+    E = np.reshape(so3._exp_components(*w), (3, 3))
+    assert np.abs(E - so3._exp_vec(w)).max() <= 2 * EPS
+
+
+@SETTINGS
+@given(st.lists(st.tuples(vec3, angle), min_size=1, max_size=8))
+def test_stacked_component_exponential_equals_one_rotation(draws):
+    ws = np.array([_axis_angle(axis, theta) for axis, theta in draws])
+    stacked = so3._exp_components(*ws.T)
+    for k, w in enumerate(ws.tolist()):
+        assert [e[k] for e in stacked] == list(so3._exp_components(*w))
+
+
+@SETTINGS
+@given(
+    st.tuples(*[st.floats(1.0, 3.0)] * 3),
+    rotation_vector,
+    rotation_vector,
+    st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    st.tuples(*[unit] * 9),
+)
+def test_declared_and_undeclared_linear_potentials_agree(eigs, q, r, w, coeff):
+    # One potential trace(A^T C), with its constant gradient declared and
+    # without: the integrator then calls gradient at every stage attitude.
+    A = np.reshape(coeff, (3, 3))
+    inertia = InertiaSpec(_spd(q, np.log10(eigs)))
+    declared = linear_potential(A)
+    undeclared = PotentialModel(value=declared.value, gradient=lambda C: A)
+    start = BodyState(0.0, _rotation(r), so3.hat(w))
+    ends = [propagate(start, inertia, pot, 0.3) for pot in (declared, undeclared)]
+    assert np.abs(ends[0].C - ends[1].C).max() <= 1e-12
+    assert np.abs(ends[0].Omega - ends[1].Omega).max() <= 1e-12
+
+    scn = ScenarioSpec(
+        refs=clustered_references(5, 0.3, axis=(0.3, -0.4, 0.87), rng=make_rng(7)),
+        inertia=inertia, potential=declared, init=start, schedule=0.04 * np.arange(1, 5),
+        noise=NoiseSpec(sigma_vec=0.002, sigma_gyro=0.005),
+    )
+    batches = gen_batches_from_truth(gen_truth(scn), scn, make_rng(8), np.eye(3))
+    for mode in ("no_gyro", "with_gyro"):
+        runs = [run_filter(None, batches, inertia, pot, FilterConfig(), mode=mode)
+                for pot in (declared, undeclared)]
+        for a, b in zip(*runs):
+            for name in ("C_minus", "C_plus", "Omega_minus", "Omega_plus"):
+                assert np.abs(getattr(a, name) - getattr(b, name)).max() <= 1e-12
 
 
 @SETTINGS

@@ -56,9 +56,15 @@ def _nonlinear_potential():
     return PotentialModel(value=lambda C: 0.5 * k * float(e @ C @ b) ** 2, gradient=gradient)
 
 
+LINEAR_COEFF = np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, -0.25]])
 POTENTIALS = {
     "zero": zero_potential,
-    "linear": lambda: linear_potential([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, -0.25]]),
+    "linear": lambda: linear_potential(LINEAR_COEFF),
+    # The same potential without its declared constant gradient: the
+    # integrator calls gradient at every stage attitude.
+    "undeclared-linear": lambda: PotentialModel(
+        value=lambda C: float(np.tensordot(LINEAR_COEFF, C)), gradient=lambda C: LINEAR_COEFF
+    ),
     "nonlinear": _nonlinear_potential,
 }
 NOISES = {"none": (0.0, 0.0), "vec": (0.002, 0.0), "gyro": (0.0, 0.003), "both": (0.002, 0.003)}

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 208 attkit CLI commands.
+"""Write the outputs of a fixed set of 226 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
 
@@ -13,11 +13,14 @@ command, ``NNN_<label>.stdout`` (exit code, stdout and stderr) and its
 The commands:
 
 * ``golden --output`` and ``determine`` on one problem file;
-* 22 run files: the zero and a linear potential, times five noise settings
+* 24 run files: the zero and a linear potential, times five noise settings
   (none, sigma_vec, sigma_gyro, both, both at 0.01), times two schedules
   (a regular one, and irregular times whose gaps reach 0.6 s, so a filter
-  interval holds partial steps and up to 600 integrator steps), plus
-  one each like the benchmark's ``filter_free`` and ``filter_potential``.
+  interval holds partial steps and up to 600 integrator steps); one each
+  like the benchmark's ``filter_free`` and ``filter_potential``; and, in
+  both potentials with both noises, a schedule whose gaps are 1 to 4
+  integrator steps or span more than one 1,024-step block of a free body's
+  exponentials (see ``dynamics._advance``);
   On each: ``propagate``, ``filter`` in both modes, and ``montecarlo`` in
   both modes with ``--trials`` 1, 3 and 7;
 * the criterion-11 campaign at sigma and sigma/2: ``filter`` and
@@ -76,6 +79,9 @@ def _run_file(rng, *, potential, noise, schedule, h=1e-3, epochs=12, inertia=Non
         pot = {"type": "linear", "coeff": rng.normal(0.0, 0.5, size=9).tolist()}
     if schedule == "regular":
         sched = {"start": 0.05, "dt": 0.05, "count": epochs}
+    elif schedule == "blocks":
+        gaps = [0.001, 0.002, 0.003, 0.004, 1.5, 0.002, 0.001, 2.2, 0.004, 0.003, 0.001, 1.1]
+        sched = {"times": (0.05 + np.cumsum(gaps[:epochs])).tolist()}
     else:
         sched = {"times": np.cumsum(rng.uniform(0.02, 0.6, size=epochs)).tolist()}
     sigma_vec, sigma_gyro = noise
@@ -125,6 +131,11 @@ def commands(inputs):
     files["filter_potential"] = _run_file(
         rng, potential=True, noise=(0.002, 0.005), schedule="regular", epochs=100
     )
+    blocks_rng = np.random.default_rng(20261019)  # leaves the draws above as they were
+    for pot in ("zero", "linear"):
+        files[f"{pot}_both_blocks"] = _run_file(
+            blocks_rng, potential=pot == "linear", noise=NOISES["both"], schedule="blocks"
+        )
     runs = list(files)
     criterion_11 = dict(
         potential=False, schedule="regular", h=5e-3, epochs=100,
