@@ -32,7 +32,6 @@ MAX_STEP_ROTATION = math.pi / 4
 # A free body's step exponentials are formed per block of at most _FOLD_BLOCK
 # steps x trials; one stacked call forms them when a block has _STACK_MIN steps.
 _FOLD_BLOCK, _STACK_MIN = 1024, 5
-_I3 = np.eye(3)
 # A declared gradient is checked at the identity and at this rotation.
 _PROBE = so3._exp_vec((0.6, -0.8, 1.1))
 
@@ -93,7 +92,7 @@ class PotentialModel:
         if self.coeff is None:
             return
         A = np.array(self.coeff, dtype=float)
-        for C in (_I3, _PROBE):
+        for C in (np.eye(3), _PROBE):
             if not np.array_equal(_gradient(self.gradient, C), A, equal_nan=True):
                 raise ValueError(f"potential gradient at\n{C}\nis not the declared coeff\n{A}")
         A.flags.writeable = False
@@ -196,8 +195,8 @@ def _make_rhs(inertia, potential):
     # arrays.
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
-    free, coeff = _is_free(potential), potential.coeff
-    g = None if coeff is None else coeff.ravel().tolist()
+    g = None if potential.coeff is None else potential.coeff.ravel().tolist()
+    free = g is not None and not any(g)
 
     def f(w0, w1, w2, c, s=None):
         m0 = k00 * w0 + k01 * w1 + k02 * w2
@@ -223,11 +222,8 @@ def _make_rhs(inertia, potential):
             i20 * c0 + i21 * c1 + i22 * c2,
         )
 
+    f.free = free  # whether C can wait: see _advance
     return f
-
-
-def _is_free(potential):
-    return potential.coeff is not None and not potential.coeff.any()
 
 
 def _gradient(gradient, C):
@@ -311,7 +307,7 @@ def _make_step(inertia, potential):
         )
         return th, wn
 
-    step.free = _is_free(potential)  # whether C can wait: see _advance
+    step.free = f.free
     return step
 
 
