@@ -174,9 +174,9 @@ def _axis_angle(axis, theta):
 @SETTINGS
 @given(vec3, angle)
 def test_component_exponential_lands_in_so3(axis, theta):
-    # Residuals in exact rational arithmetic on the rounded entries. The
-    # bound is not tight: over 4M random draws the worst orthogonality
-    # residual was 6.7 eps, and _exp_vec's own 7.6 eps.
+    # Residuals in exact rational arithmetic on the rounded entries. Over 4M
+    # random draws the worst orthogonality residual was 6.7 eps, and
+    # _exp_vec's own 7.6 eps.
     E = [Fraction(e) for e in so3._exp_components(*_axis_angle(axis, theta))]
     rows = [E[0:3], E[3:6], E[6:9]]
     for i in range(3):
