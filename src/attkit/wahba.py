@@ -11,6 +11,27 @@ fallback is available for profiles with negative determinant.
 Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
 (B, 3, 3), against one reference set; every check then applies to each
 problem of the stack.
+
+The rank check screens a vector set V before it reaches the SVD. One
+product G = V V^T has eigenvalues l1 >= l2 >= l3, the squared singular
+values of V, and since l1^2 l2 <= 4 tr(G)^3 / 27, l3 / l1 >= 4 det G / tr(G)^3.
+So 4 det G >= 100 RANK_RTOL^2 tr(G)^3 proves s3 / s1 >= 10 RANK_RTOL: rank 3
+with a margin far above the rounding of G and of its determinant (each
+entry of G is off by at most about n eps tr(G)). With 1e-100 < tr(G) < 1e100
+as well, passing also proves V finite and G free of overflow. Sets the
+screen cannot vouch for, and every set of a stack where one of them fails
+it, take the SVD path, which alone raises. The screen only decides whether
+the SVD runs, so every result, exception and message is the one the SVD
+path gives.
+
+An overflow is not reported as a singular profile: a profile whose matrix,
+determinant or norm is not finite raises ValueError. build_profile and
+profile_from_matrix run with numpy's overflow and invalid warnings off, so
+such inputs raise without a RuntimeWarning. check_vector_set sets no error
+state of its own, which would cost each call about as much as its Gram
+product; it runs under its caller's, so on its own a set with infinite
+entries or entries beyond about 1e154 can make numpy warn from the Gram
+product before the SVD path gives its usual verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +50,10 @@ DET_RTOL = 1e-12
 # Floor for eigenvalues of R R^T relative to the largest one.
 SQRT_EIG_RTOL = 1e-12
 
+# Decorator: the function runs with numpy's overflow and invalid warnings
+# off; its own checks report non-finite values.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True, eq=False)
 class AttitudeProfile:
@@ -44,15 +69,22 @@ def check_vector_set(V, unit: bool = False, name: str = "vector set") -> np.ndar
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-2] != 3 or V.shape[-1] < 3:
         raise ShapeMismatch(f"{name}: expected 3xn with n >= 3, got {V.shape}")
-    if not np.isfinite(V).all():
-        raise ValueError(f"{name}: non-finite entries")
-    s = np.linalg.svd(V, compute_uv=False)
-    st = s.T  # stack axis last
-    bad = so3._first_failure(st[2] >= RANK_RTOL * st[0], s)
-    if bad is not None:
-        raise SingularProfile(
-            f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
-        )
+    # The Gram screen of the module docstring, on each set's G as floats
+    if not all(
+        1e-100 < a + d + f < 1e100
+        and 4.0 * (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+        >= 100.0 * RANK_RTOL**2 * (a + d + f) ** 3
+        for a, b, c, _, d, e, _, _, f in (V @ V.mT).reshape(-1, 9).tolist()
+    ):
+        if not np.isfinite(V).all():
+            raise ValueError(f"{name}: non-finite entries")
+        s = np.linalg.svd(V, compute_uv=False)
+        st = s.T  # stack axis last
+        bad = so3._first_failure(st[2] >= RANK_RTOL * st[0], s)
+        if bad is not None:
+            raise SingularProfile(
+                f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
+            )
     if unit:
         norms = np.linalg.norm(V, axis=-2)
         if np.abs(norms - 1.0).max() > 1e-6:
@@ -67,25 +99,36 @@ def check_weights(w, n: int | None = None) -> np.ndarray:
         raise ShapeMismatch(f"weights must be 1-d, got shape {w.shape}")
     if n is not None and w.shape[0] != n:
         raise ShapeMismatch(f"expected {n} weights, got {w.shape[0]}")
-    if not (np.isfinite(w).all() and (w > 0.0).all()):
+    # NaN fails both comparisons; an empty vector has no extremes to check.
+    if w.size and not (0.0 < w.min() and w.max() < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     return w
 
 
+@_quiet
 def profile_from_matrix(M) -> AttitudeProfile:
-    """Wrap a precomputed 3x3 profile matrix, enforcing nonsingularity."""
+    """Wrap a precomputed 3x3 profile matrix, enforcing nonsingularity.
+
+    A matrix whose entries, determinant or norm cubed are not finite (an
+    overflow, for finite entries beyond about 1e102) raises ValueError.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"profile must be 3x3, got {M.shape}")
     det = np.linalg.det(M)
     flat = M.reshape(*M.shape[:-2], 9)
-    # norm(M)^3, from each profile's squared Frobenius norm
-    bad = so3._first_failure(abs(det) > DET_RTOL * np.vecdot(flat, flat) ** 1.5, det)
+    # norm(M)^3, from each profile's squared Frobenius norm; NaN or inf in M
+    # makes it NaN or inf
+    floor = DET_RTOL * np.vecdot(flat, flat) ** 1.5
+    bad = so3._first_failure(abs(det) > floor, det)
     if bad is not None:
+        if not (np.isfinite(det).all() and np.isfinite(floor).all()):
+            raise ValueError("profile overflows: its matrix, determinant or norm is not finite")
         raise SingularProfile(f"profile determinant {bad:.3e} below noise floor")
     return AttitudeProfile(matrix=M, det=det)
 
 
+@_quiet
 def build_profile(refs, weights, body) -> AttitudeProfile:
     """Accumulate the attitude profile matrix sum_i w_i e_i b_i^T.
 
@@ -128,7 +171,10 @@ def solve_attitude(
         return C, 0.5 * (S + S.mT)
 
     Q, R = np.linalg.qr(L)
-    flip = np.linalg.det(Q) < 0.0
+    # det Q det R = det L > 0, so det Q < 0 exactly where an odd number of
+    # R's diagonal entries are negative (signs, since their product may underflow).
+    Rt = R.T  # stack axis last
+    flip = (Rt[0, 0] < 0.0) ^ (Rt[1, 1] < 0.0) ^ (Rt[2, 2] < 0.0)
     if flip.ndim or flip:
         # Standard QR returns Q in O(3); flip the last column into SO(3), in
         # each problem of a stack where that is needed.

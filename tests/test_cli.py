@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ def test_determine_reflection_exits_reflection(tmp_path, capsys):
     cfg = {"schema": 1, "refs": refs, "body": _ref_rows(-np.eye(3))}
     assert cli.main(["determine", "--config", _write(tmp_path, "f.json", cfg)]) == EXIT_REFLECTION
     capsys.readouterr()
+
+
+def test_determine_overflowing_profile_exits_2_without_warnings(tmp_path, capsys):
+    # Finite inputs whose profile overflows: an input error, not a singular one.
+    rng = np.random.default_rng(33)
+    refs = rng.normal(size=(3, 6))
+    for scale_refs in (1.0, 1e160):
+        cfg = {"schema": 1, "refs": _ref_rows(scale_refs * refs), "body": _ref_rows(1e160 * refs)}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["determine", "--config", _write(tmp_path, "o.json", cfg)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile overflows") and "Warning" not in err
+        assert [w.message for w in caught] == []
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from attkit import dynamics, so3, wahba  # noqa: E402
+from attkit.errors import AttKitError, ShapeMismatch, SingularProfile  # noqa: E402
 from attkit.dynamics import (  # noqa: E402
     BodyState,
     InertiaSpec,
@@ -264,6 +265,71 @@ def test_principal_angle_reads_back_the_rotation_angle(r, axis, theta):
     hypothesis.assume(n > 1e-3)
     C = _rotation(r)
     assert abs(so3.principal_angle(C, C @ _rotation(theta * u / n)) - theta) <= 1e-14
+
+
+def _vector_set_svd_only(V, unit=False, name="vector set"):
+    # check_vector_set as it was before the Gram screen: every set through
+    # the SVD.
+    V = np.asarray(V, dtype=float)
+    if V.ndim < 2 or V.shape[-2] != 3 or V.shape[-1] < 3:
+        raise ShapeMismatch(f"{name}: expected 3xn with n >= 3, got {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValueError(f"{name}: non-finite entries")
+    s = np.linalg.svd(V, compute_uv=False)
+    st = s.T
+    bad = so3._first_failure(st[2] >= wahba.RANK_RTOL * st[0], s)
+    if bad is not None:
+        raise SingularProfile(
+            f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
+        )
+    return V
+
+
+def _vector_set_outcome(check, V):
+    # With numpy's overflow and invalid warnings off, as build_profile runs
+    # the check: on its own, an infinite entry can warn from the Gram product.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return check(V, name="set")
+        except (AttKitError, ValueError) as exc:
+            return type(exc), str(exc)
+
+
+@st.composite
+def vector_sets(draw):
+    """One 3xn set or a stack of them: random, near rank deficient (s3/s1
+    from 1e-9 to 1e-3) or with a NaN or infinite entry, and half of them
+    scaled by 1e-150 to 1e150."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, stack = draw(st.integers(3, 12)), draw(st.sampled_from([None, 1, 2, 5]))
+    sets = rng.normal(size=(stack or 1, 3, n))
+    k = draw(st.integers(0, (stack or 1) - 1))  # the set of a stack drawn specially
+    kind = draw(st.sampled_from(["random", "near_deficient", "nonfinite"]))
+    if kind == "near_deficient":
+        ratio = 10.0 ** draw(st.floats(-9.0, -3.0))
+        U, W = np.linalg.qr(rng.normal(size=(3, 3)))[0], np.linalg.qr(rng.normal(size=(n, 3)))[0]
+        sets[k] = U @ np.diag([1.0, rng.uniform(ratio, 1.0), ratio]) @ W.T
+    elif kind == "nonfinite":
+        sets[k, rng.integers(3), rng.integers(n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if draw(st.booleans()):
+        sets *= 10.0 ** draw(st.floats(-150.0, 150.0))
+    return sets[0] if stack is None else sets
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(vector_sets())
+def test_screened_vector_set_check_matches_the_svd_only_check(V):
+    expected = _vector_set_outcome(_vector_set_svd_only, V)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        got = _vector_set_outcome(wahba.check_vector_set, V)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert np.array_equal(got, expected)
+    if not svd.called:
+        # The screen vouched for every set: s3/s1 >= 10 RANK_RTOL, up to rounding.
+        s = np.linalg.svd(V, compute_uv=False).T
+        assert (s[2] >= 10.0 * wahba.RANK_RTOL * (1.0 - 1e-9) * s[0]).all()
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,21 @@ def test_build_profile_rank_deficient_raises():
     planar = np.stack([e1, e2, (e1 + e2) / np.sqrt(2.0)], axis=1)
     with pytest.raises(SingularProfile):
         wahba.build_profile(planar, np.ones(3), np.eye(3))
+
+
+def test_check_vector_set_screen_skips_the_svd_on_well_conditioned_sets(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(30)
+    wahba.check_vector_set(_random_unit_set(rng, n=7))
+    wahba.check_vector_set(np.stack([_random_unit_set(rng, n=7) for _ in range(4)]))
+    wahba.build_profile(rc.REFS, ONES7, rc.BODY_MEAS)
+    assert calls == []
+    # s3/s1 = 2e-6 is rank 3 but inside the screen's margin: the SVD decides.
+    U, W = so3.random_rotation(rng), np.linalg.qr(rng.normal(size=(7, 3)))[0]
+    wahba.check_vector_set(U @ np.diag([1.0, 0.5, 2e-6]) @ W.T)
+    assert calls == [1]
 
 
 def test_check_vector_set_unit_flag():
@@ -159,6 +176,93 @@ def test_solve_reflection_fallback_is_sign_corrected_procrustes():
     oracle = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
     assert np.abs(C - oracle).max() <= 1e-10
     assert np.abs(C - S @ L).max() <= 1e-10
+
+
+def _weights_reference(w, n=None):
+    # check_weights as it decided before the one-pass min/max test
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ShapeMismatch(f"weights must be 1-d, got shape {w.shape}")
+    if n is not None and w.shape[0] != n:
+        raise ShapeMismatch(f"expected {n} weights, got {w.shape[0]}")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise ValueError("weights must be finite and strictly positive")
+    return w
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).tolist()
+    except (ShapeMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("w, n", [
+    ([1.0, 2.0, 3.0], 3), ([1.0, 2.0, 3.0], None), ([5e-324, 1.0, 1.8e308], 3),
+    ([np.nan, 1.0, 1.0], 3), ([1.0, 1.0, np.nan], 3), ([np.inf, 1.0], 2),
+    ([1.0, -np.inf], 2), ([-np.inf, np.inf], 2), ([1.0, 0.0], 2), ([-0.0, 1.0], 2),
+    ([2.0, -1.0], 2), ([], None), ([], 0), ([], 3), ([[1.0, 1.0, 1.0]], 3),
+    ([1.0, 1.0], 3), (7.0, None),
+])
+def test_check_weights_decides_as_before(w, n):
+    assert _outcome(wahba.check_weights, w, n) == _outcome(_weights_reference, w, n)
+
+
+def _qr_flip(L):
+    # det Q < 0 read from R's diagonal, as solve_attitude reads it
+    return bool(np.prod(np.sign(np.diag(np.linalg.qr(L)[1]))) < 0)
+
+
+def test_qr_sign_from_r_diagonal_matches_det_q():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        L = rng.normal(size=(3, 3))
+        if np.linalg.det(L) <= 0.0:
+            continue
+        assert _qr_flip(L) == (np.linalg.det(np.linalg.qr(L)[0]) < 0.0)
+    # Exact zeros below the diagonal skip a Householder reflection, so
+    # LAPACK's Q is a reflection for these proper profiles.
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    structured = [np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]]),
+                  swap @ np.diag([1.0, -1.0, 1.0])]
+    for L in structured:
+        assert np.linalg.det(L) > 0.0 and np.linalg.det(np.linalg.qr(L)[0]) < 0.0
+        assert _qr_flip(L)
+    stack = np.stack(structured + [np.eye(3), so3.random_rotation(rng)])
+    Cs, Ss = wahba.solve_attitude(wahba.profile_from_matrix(stack))
+    for L, C, S in zip(stack, Cs, Ss):
+        U, _, Vt = np.linalg.svd(L)
+        oracle = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+        C1, S1 = wahba.solve_attitude(wahba.profile_from_matrix(L))
+        assert np.abs(C1 - oracle).max() <= 1e-12
+        so3.check_rotation(C1, tol=1e-12)
+        assert np.array_equal(C, C1) and np.array_equal(S, S1)
+
+
+def test_profile_overflow_is_a_value_error_without_warnings():
+    rng = np.random.default_rng(32)
+    E, B = _random_unit_set(rng), _random_unit_set(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.profile_from_matrix(np.diag([1e200] * 3))
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.profile_from_matrix(np.stack([np.eye(3), np.diag([1e120, 1.0, 1.0])]))
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.profile_from_matrix(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.build_profile(1e160 * E, np.ones(5), 1e160 * B)
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.build_profile(E, np.ones(5), 1e160 * B)
+        with pytest.raises(ValueError, match="overflow"):
+            wahba.build_profile(E, np.full(5, 1e300), B)
+        # Large but finite profiles are still solved.
+        p = wahba.profile_from_matrix(np.diag([1e100] * 3))
+        C, _ = wahba.solve_attitude(p)
+    assert np.abs(C - np.eye(3)).max() <= 1e-15
+    # An underflowed profile stays what it was: singular.
+    with pytest.raises(SingularProfile):
+        wahba.build_profile(1e-160 * E, np.ones(5), 1e-160 * B)
 
 
 def test_profile_from_matrix_rejects_singular():

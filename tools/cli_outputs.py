@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 226 attkit CLI commands.
+"""Write the outputs of a fixed set of 237 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
 
@@ -24,7 +24,10 @@ The commands:
   On each: ``propagate``, ``filter`` in both modes, and ``montecarlo`` in
   both modes with ``--trials`` 1, 3 and 7;
 * the criterion-11 campaign at sigma and sigma/2: ``filter`` and
-  ``montecarlo --trials 100`` in both modes, with the campaign's seed.
+  ``montecarlo --trials 100`` in both modes, with the campaign's seed;
+* ``determine`` on 11 more problem files, which reach every branch of the
+  input checks (see ``_determine_branches``); these come last, so the
+  numbers of the commands above do not depend on them.
 """
 
 from __future__ import annotations
@@ -115,6 +118,43 @@ def _determine_file(rng):
     }
 
 
+def _determine_branches(rng):
+    """Determine problems that reach each branch of the input checks: rank
+    deficient refs or body, s3/s1 of the refs just above and just below
+    1e-6, a non-finite body entry, a zero weight, a reflection profile,
+    vectors scaled to 1e-160 and to 1e160, refs scaled to 1e-55 and body to
+    1e55 (solved, though the rank screen cannot vouch for either set), and
+    rank deficient refs together with a body of the wrong width (the refs
+    are checked first)."""
+    base = _determine_file(rng)
+    refs, body = np.array(base["refs"]), np.array(base["body"])
+    planar = refs.copy()
+    planar[2] = 0.0
+    U, W = _rotation(rng), np.linalg.qr(rng.normal(size=(7, 3)))[0]
+
+    def rows(M):
+        return [row.tolist() for row in M]
+
+    cases = {
+        "planar_refs": {"refs": rows(planar)},
+        "planar_body": {"body": rows(planar)},
+        "rank_above": {"refs": rows(U @ np.diag([1.0, 0.6, 1.5e-6]) @ W.T)},
+        "rank_below": {"refs": rows(U @ np.diag([1.0, 0.6, 0.7e-6]) @ W.T)},
+        "nonfinite_body": {"body": rows(body)},
+        "zero_weight": {"weights": base["weights"][:3] + [0.0] + base["weights"][4:]},
+        "reflection": {"body": rows(np.diag([1.0, 1.0, -1.0]) @ body)},
+        "tiny": {"refs": rows(1e-160 * refs), "body": rows(1e-160 * body)},
+        "huge": {"refs": rows(1e160 * refs), "body": rows(1e160 * body)},
+        "scaled_apart": {"refs": rows(1e-55 * refs), "body": rows(1e55 * body)},
+        "planar_refs_wide_body": {
+            "refs": rows(planar), "body": rows(np.hstack([body, body[:, :1]])),
+            "weights": base["weights"] + [1.0],
+        },
+    }
+    cases["nonfinite_body"]["body"][1][4] = math.inf  # written as Infinity
+    return {f"determine_{name}": {**base, **case} for name, case in cases.items()}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -144,6 +184,8 @@ def commands(inputs):
     for name, sigma in (("c11_sigma", 0.002), ("c11_half", 0.001)):
         files[name] = _run_file(np.random.default_rng(11), noise=(sigma, 0.0), **criterion_11)
     files["determine"] = _determine_file(rng)
+    branches = _determine_branches(np.random.default_rng(20261020))
+    files.update(branches)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -168,6 +210,8 @@ def commands(inputs):
             out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode, *seed]))
             out.append((f"montecarlo_{name}_{mode}_100",
                         ["montecarlo", *cfg(name), "--mode", mode, *seed, "--trials", "100"]))
+    for name in branches:  # last, so the numbering of the commands above stays
+        out.append((name, ["determine", *cfg(name), "--output", f"{name}.json"]))
     return out
 
 
