@@ -12,26 +12,22 @@ Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
 (B, 3, 3), against one reference set; every check then applies to each
 problem of the stack.
 
-The rank check screens a vector set V before it reaches the SVD. One
-product G = V V^T has eigenvalues l1 >= l2 >= l3, the squared singular
-values of V, and since l1^2 l2 <= 4 tr(G)^3 / 27, l3 / l1 >= 4 det G / tr(G)^3.
-So 4 det G >= 100 RANK_RTOL^2 tr(G)^3 proves s3 / s1 >= 10 RANK_RTOL: rank 3
-with a margin far above the rounding of G and of its determinant (each
-entry of G is off by at most about n eps tr(G)). With 1e-100 < tr(G) < 1e100
-as well, passing also proves V finite and G free of overflow. Sets the
-screen cannot vouch for, and every set of a stack where one of them fails
-it, take the SVD path, which alone raises. The screen only decides whether
-the SVD runs, so every result, exception and message is the one the SVD
-path gives.
+The rank check screens each vector set V with one product G = V V^T. Its
+eigenvalues l1 >= l2 >= l3 are the squared singular values of V, and as
+l1^2 l2 <= 4 tr(G)^3 / 27, l3 / l1 >= 4 det G / tr(G)^3. So
+4 det G >= 100 RANK_RTOL^2 tr(G)^3 proves s3 / s1 >= 10 RANK_RTOL, far above
+the rounding of G (about n eps tr(G) per entry) and of its determinant; with
+1e-100 < tr(G) < 1e100 it also proves V finite and G free of overflow. Sets
+the screen cannot vouch for, and every set of a stack that holds one, take
+the SVD path, which alone decides and raises: results and messages are the
+SVD path's.
 
-An overflow is not reported as a singular profile: a profile whose matrix,
-determinant or norm is not finite raises ValueError. build_profile and
-profile_from_matrix run with numpy's overflow and invalid warnings off, so
-such inputs raise without a RuntimeWarning. check_vector_set sets no error
-state of its own, which would cost each call about as much as its Gram
-product; it runs under its caller's, so on its own a set with infinite
-entries or entries beyond about 1e154 can make numpy warn from the Gram
-product before the SVD path gives its usual verdict.
+A profile whose matrix, determinant or norm is not finite raises
+ValueError, not SingularProfile. build_profile and profile_from_matrix run
+with numpy's overflow and invalid warnings off. check_vector_set sets no
+error state of its own, which would cost a call about as much as its Gram
+product, so on its own a set with infinite entries or entries beyond about
+1e154 can make numpy warn from the Gram product.
 """
 
 from __future__ import annotations
