@@ -2,11 +2,15 @@
 
 Given unit reference directions in the inertial frame, their measured
 counterparts in the body frame, and positive weights, the module builds the
-3x3 attitude profile matrix, factors it, and returns the unique rotation
-minimizing the weighted alignment cost together with the symmetric positive
-definite solver factor. The solver route is a QR factorization followed by
-the inverse principal square root; an SVD-based orthogonal Procrustes
-fallback is available for profiles with negative determinant.
+3x3 attitude profile matrix L and returns the unique rotation minimizing
+the weighted alignment cost, the orthogonal polar factor
+C = (L L^T)^-1/2 L, together with the symmetric positive definite solver
+factor S = (L L^T)^-1/2. Both come from one SVD L = U diag(s) V^T as
+C = U V^T and S = U diag(1/s) U^T, whose errors grow as eps times the
+condition number s1/s3 (forming L L^T would square it). A profile with
+negative determinant may instead be solved, on request, by the same SVD
+with the last singular direction flipped: C = U diag(1, 1, -1) V^T, the
+sign-corrected orthogonal Procrustes rotation.
 
 Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
 (B, 3, 3), against one reference set; every check then applies to each
@@ -43,7 +47,8 @@ from .errors import ReflectionProfile, ShapeMismatch, SingularProfile
 RANK_RTOL = 1e-6
 # Nonsingularity floor for the profile determinant relative to norm(L)^3.
 DET_RTOL = 1e-12
-# Floor for eigenvalues of R R^T relative to the largest one.
+# Floor for eigenvalues of L L^T (squared singular values of L) relative to
+# the largest one.
 SQRT_EIG_RTOL = 1e-12
 
 # Decorator: the function runs with numpy's overflow and invalid warnings
@@ -149,41 +154,33 @@ def solve_attitude(
 
     Returns (attitude, factor): the optimal rotation and the symmetric
     positive definite matrix S such that attitude = S @ profile.matrix.
-    S is the inverse principal square root of L L^T, evaluated through a
-    proper-orthogonal QR factorization L = Q R as Q sqrt((R R^T)^-1) Q^T.
+    Both come from one SVD L = U diag(s) V^T: the attitude is U V^T, the
+    orthogonal polar factor (L L^T)^-1/2 L, and S = U diag(1/s) U^T is the
+    inverse principal square root of L L^T. Their errors grow as eps times
+    the condition number s1/s3.
 
     A profile with non-positive determinant raises ReflectionProfile unless
-    allow_reflection is set, in which case the sign-corrected SVD Procrustes
-    rotation is substituted and the factor is the one implied by it.
+    allow_reflection is set. Then the same SVD gives the sign-corrected
+    Procrustes rotation U diag(1, 1, -1) V^T and S = U diag(1, 1, -1)
+    diag(1/s) U^T, the factor it implies.
     """
     L = profile.matrix
     det = so3._first_failure(profile.det > 0.0, profile.det)
-    if det is not None:
-        if not allow_reflection:
-            raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
-        # The SVD route also solves the positive-determinant problems of a stack.
-        C = so3.nearest_rotation(L)
-        S = C @ np.linalg.inv(L)
-        return C, 0.5 * (S + S.mT)
-
-    Q, R = np.linalg.qr(L)
-    # det Q det R = det L > 0, so det Q < 0 exactly where an odd number of
-    # R's diagonal entries are negative (signs, since their product may underflow).
-    Rt = R.T  # stack axis last
-    flip = (Rt[0, 0] < 0.0) ^ (Rt[1, 1] < 0.0) ^ (Rt[2, 2] < 0.0)
-    if flip.ndim or flip:
-        # Standard QR returns Q in O(3); flip the last column into SO(3), in
-        # each problem of a stack where that is needed.
-        Q[flip, :, 2] *= -1.0
-        R[flip, 2, :] *= -1.0
-    w, V = np.linalg.eigh(R @ R.mT)
-    wt = w.T  # stack axis last
-    bad = so3._first_failure(wt[0] > SQRT_EIG_RTOL * wt[2], w)
+    if det is not None and not allow_reflection:
+        raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
+    U, s, Vt = np.linalg.svd(L)
+    st = s.T  # stack axis last
+    # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
+    bad = so3._first_failure(st[2] * st[2] > SQRT_EIG_RTOL * (st[0] * st[0]), s)
     if bad is not None:
-        raise SingularProfile(f"profile effectively singular (eigenvalues {bad})")
-    S = Q @ (V @ ((1.0 / np.sqrt(w))[..., None] * V.mT)) @ Q.mT
-    S = 0.5 * (S + S.mT)
-    return S @ L, S
+        raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
+    if det is not None:
+        # d = -1 on each problem with det L < 0 (in a stack, +1 on the others)
+        d = np.where(profile.det > 0.0, 1.0, -1.0)[..., None]
+        Vt[..., 2, :] *= d
+        s[..., 2:] *= d
+    S = (U / s[..., None, :]) @ U.mT
+    return U @ Vt, 0.5 * (S + S.mT)
 
 
 def alignment_cost(attitude, refs, body, weights) -> float:

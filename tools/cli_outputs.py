@@ -1,14 +1,16 @@
 """Write the outputs of a fixed set of 237 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
+    python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
 
 SRC is the ``src/`` directory of an attkit checkout; ``attkit.cli.main``
 is imported from there and every command runs in-process. The run files
 are generated here with numpy alone, from fixed seeds, so two checkouts
 get the same inputs. OUTDIR receives them under ``inputs/`` and, for each
 command, ``NNN_<label>.stdout`` (exit code, stdout and stderr) and its
-``--output`` file. Run it against two checkouts and compare with
-``diff -r OUTDIR_A OUTDIR_B``: no output means byte-identical results.
+``--output`` file. Run it against two checkouts and compare the two
+OUTDIRs with ``diff -r`` (no output means byte-identical results) or with
+``--compare``, which bounds how far the numbers moved (see ``compare``).
 
 The commands:
 
@@ -37,6 +39,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -215,7 +218,73 @@ def commands(inputs):
     return out
 
 
+# A number not glued to a word (so the 4 of "rkmk4" is text), and the
+# exit-code line of a .stdout file.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+EXIT = re.compile(r"exit -?\d+\n")
+
+
+def _files(root):
+    out = set()
+    for dirpath, _, names in os.walk(root):
+        out.update(os.path.relpath(os.path.join(dirpath, n), root) for n in names)
+    return out
+
+
+def _changes(a, b):
+    """(exit line equal, text outside the numbers equal, largest absolute
+    and relative change among the numbers) of two output texts."""
+    exit_a, exit_b = EXIT.match(a), EXIT.match(b)
+    same_exit = (exit_a and exit_a.group()) == (exit_b and exit_b.group())
+    if NUMBER.split(a) != NUMBER.split(b):
+        return same_exit, False, math.nan, math.nan
+    most_abs = most_rel = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        d = abs(x - y)
+        if d:
+            most_abs = max(most_abs, d)
+            most_rel = max(most_rel, d / max(abs(x), abs(y)))
+    return same_exit, True, most_abs, most_rel
+
+
+def compare(dir_a, dir_b):
+    """Print, for each file that differs between two OUTDIRs, whether its
+    exit-code line and its text outside the numbers are equal and the
+    largest absolute and relative change among its numbers; then the
+    largest changes by file type. Returns 1 if a file is on one side only,
+    or an exit-code line or the text outside the numbers differs, else 0."""
+    files_a, files_b = _files(dir_a), _files(dir_b)
+    broken = sorted(files_a ^ files_b)
+    for name in broken:
+        print(f"{name}: only in {dir_a if name in files_a else dir_b}")
+    changed, most = 0, {}
+    for name in sorted(files_a & files_b):
+        with open(os.path.join(dir_a, name)) as fa, open(os.path.join(dir_b, name)) as fb:
+            a, b = fa.read(), fb.read()
+        if a == b:
+            continue
+        changed += 1
+        same_exit, same_text, d_abs, d_rel = _changes(a, b)
+        exit_state = "-" if not name.endswith(".stdout") else "same" if same_exit else "DIFFERS"
+        print(f"{name}: exit {exit_state}, structure {'same' if same_text else 'DIFFERS'}, "
+              f"max abs change {d_abs:.2e}, max rel change {d_rel:.2e}")
+        if not (same_exit and same_text):
+            broken.append(name)
+            continue
+        kind = os.path.splitext(name)[1]
+        prev = most.get(kind, (0.0, "", 0.0, ""))
+        most[kind] = max(prev[:2], (d_abs, name)) + max(prev[2:], (d_rel, name))
+    print(f"{changed} of {len(files_a | files_b)} files differ, "
+          f"{len(broken)} in exit code, structure or presence")
+    for kind, (d_abs, at_abs, d_rel, at_rel) in sorted(most.items()):
+        print(f"{kind}: max abs change {d_abs:.2e} ({at_abs}), "
+              f"max rel change {d_rel:.2e} ({at_rel})")
+    return int(bool(broken))
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*argv[1:])
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2
