@@ -4,13 +4,10 @@ Given unit reference directions in the inertial frame, their measured
 counterparts in the body frame, and positive weights, the module builds the
 3x3 attitude profile matrix L and returns the unique rotation minimizing
 the weighted alignment cost, the orthogonal polar factor
-C = (L L^T)^-1/2 L, together with the symmetric positive definite solver
-factor S = (L L^T)^-1/2. Both come from one SVD L = U diag(s) V^T as
-C = U V^T and S = U diag(1/s) U^T, whose errors grow as eps times the
-condition number s1/s3 (forming L L^T would square it). A profile with
-negative determinant may instead be solved, on request, by the same SVD
-with the last singular direction flipped: C = U diag(1, 1, -1) V^T, the
-sign-corrected orthogonal Procrustes rotation.
+C = (L L^T)^-1/2 L, with the solver factor S = (L L^T)^-1/2: both from
+one SVD of L (see solve_attitude). On request, the same SVD solves a
+profile with negative determinant as the sign-corrected orthogonal
+Procrustes problem.
 
 Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
 (B, 3, 3), against one reference set; every check then applies to each
@@ -154,28 +151,25 @@ def solve_attitude(
 
     Returns (attitude, factor): the optimal rotation and the symmetric
     positive definite matrix S such that attitude = S @ profile.matrix.
-    Both come from one SVD L = U diag(s) V^T: the attitude is U V^T, the
-    orthogonal polar factor (L L^T)^-1/2 L, and S = U diag(1/s) U^T is the
-    inverse principal square root of L L^T. Their errors grow as eps times
-    the condition number s1/s3.
+    The closed form C = (L L^T)^-1/2 L is evaluated from one SVD
+    L = U diag(s) V^T as C = U V^T and S = U diag(1/s) U^T: their errors
+    grow as eps times the condition number s1/s3; forming L L^T squares it.
 
     A profile with non-positive determinant raises ReflectionProfile unless
-    allow_reflection is set. Then the same SVD gives the sign-corrected
-    Procrustes rotation U diag(1, 1, -1) V^T and S = U diag(1, 1, -1)
-    diag(1/s) U^T, the factor it implies.
+    allow_reflection is set. Then the same SVD with d = -1 gives the
+    sign-corrected Procrustes rotation U diag(1, 1, d) V^T and the factor
+    S = U diag(1, 1, d) diag(1/s) U^T it implies.
     """
-    L = profile.matrix
     det = so3._first_failure(profile.det > 0.0, profile.det)
     if det is not None and not allow_reflection:
         raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
-    U, s, Vt = np.linalg.svd(L)
+    U, s, Vt = np.linalg.svd(profile.matrix)
     st = s.T  # stack axis last
     # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
     bad = so3._first_failure(st[2] * st[2] > SQRT_EIG_RTOL * (st[0] * st[0]), s)
     if bad is not None:
         raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
-    if det is not None:
-        # d = -1 on each problem with det L < 0 (in a stack, +1 on the others)
+    if det is not None:  # d = -1 where det L < 0 (in a stack, +1 on the others)
         d = np.where(profile.det > 0.0, 1.0, -1.0)[..., None]
         Vt[..., 2, :] *= d
         s[..., 2:] *= d

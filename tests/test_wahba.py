@@ -272,6 +272,24 @@ def test_profile_from_matrix_rejects_singular():
         wahba.profile_from_matrix(np.diag([1.0, 1.0, 1e-16]))
 
 
+@pytest.mark.parametrize("r, singular", [
+    (1.5e-6, False), (0.7e-6, True), (1e-6 * (1.0 + 1e-3), False), (1e-6 * (1.0 - 1e-3), True),
+])
+def test_singular_floor_verdicts_and_message(r, singular):
+    # Eigenvalues of L L^T are 1, 0.36 and r^2: the floor r^2 > SQRT_EIG_RTOL
+    # sits at r = 1e-6, and the determinant floor passes all four.
+    rng = np.random.default_rng(34)
+    L = so3.random_rotation(rng) @ np.diag([1.0, 0.6, r]) @ so3.random_rotation(rng).T
+    p = wahba.profile_from_matrix(L)
+    if not singular:
+        so3.check_rotation(wahba.solve_attitude(p)[0], tol=1e-12)
+        return
+    with pytest.raises(SingularProfile, match=r"^profile effectively singular \(eigenvalues \[") as exc:
+        wahba.solve_attitude(p)
+    listed = np.array(str(exc.value).split("[")[1].split("]")[0].split(), dtype=float)
+    assert np.allclose(listed, [r * r, 0.36, 1.0], rtol=1e-6, atol=0.0)  # ascending
+
+
 # ---------------------------------------------------------------------------
 # cost and minimality
 

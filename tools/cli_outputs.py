@@ -232,27 +232,28 @@ def _files(root):
 
 
 def _changes(a, b):
-    """(exit line equal, text outside the numbers equal, largest absolute
-    and relative change among the numbers) of two output texts."""
+    """(exit line equal, text outside the numbers equal, and the largest
+    absolute and relative change among the numbers) of two output texts."""
     exit_a, exit_b = EXIT.match(a), EXIT.match(b)
     same_exit = (exit_a and exit_a.group()) == (exit_b and exit_b.group())
     if NUMBER.split(a) != NUMBER.split(b):
-        return same_exit, False, math.nan, math.nan
+        return same_exit, False, (math.nan, math.nan)
     most_abs = most_rel = 0.0
     for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
         d = abs(x - y)
         if d:
             most_abs = max(most_abs, d)
             most_rel = max(most_rel, d / max(abs(x), abs(y)))
-    return same_exit, True, most_abs, most_rel
+    return same_exit, True, (most_abs, most_rel)
 
 
 def compare(dir_a, dir_b):
     """Print, for each file that differs between two OUTDIRs, whether its
     exit-code line and its text outside the numbers are equal and the
     largest absolute and relative change among its numbers; then the
-    largest changes by file type. Returns 1 if a file is on one side only,
-    or an exit-code line or the text outside the numbers differs, else 0."""
+    largest of each by file type.
+    Returns 1 if a file is on one side only, or an exit-code line or the
+    text outside the numbers differs, else 0."""
     files_a, files_b = _files(dir_a), _files(dir_b)
     broken = sorted(files_a ^ files_b)
     for name in broken:
@@ -264,21 +265,19 @@ def compare(dir_a, dir_b):
         if a == b:
             continue
         changed += 1
-        same_exit, same_text, d_abs, d_rel = _changes(a, b)
+        same_exit, same_text, change = _changes(a, b)
         exit_state = "-" if not name.endswith(".stdout") else "same" if same_exit else "DIFFERS"
         print(f"{name}: exit {exit_state}, structure {'same' if same_text else 'DIFFERS'}, "
-              f"max abs change {d_abs:.2e}, max rel change {d_rel:.2e}")
+              "max change abs {:.2e}, rel {:.2e}".format(*change))
         if not (same_exit and same_text):
             broken.append(name)
             continue
         kind = os.path.splitext(name)[1]
-        prev = most.get(kind, (0.0, "", 0.0, ""))
-        most[kind] = max(prev[:2], (d_abs, name)) + max(prev[2:], (d_rel, name))
+        most[kind] = [max(m, (c, name)) for m, c in zip(most.get(kind, [(0.0, "")] * 2), change)]
     print(f"{changed} of {len(files_a | files_b)} files differ, "
           f"{len(broken)} in exit code, structure or presence")
-    for kind, (d_abs, at_abs, d_rel, at_rel) in sorted(most.items()):
-        print(f"{kind}: max abs change {d_abs:.2e} ({at_abs}), "
-              f"max rel change {d_rel:.2e} ({at_rel})")
+    for kind, ((d_abs, at_abs), (d_rel, at_rel)) in sorted(most.items()):
+        print(f"{kind}: max change abs {d_abs:.2e} ({at_abs}), rel {d_rel:.2e} ({at_rel})")
     return int(bool(broken))
 
 
