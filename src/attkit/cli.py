@@ -51,15 +51,15 @@ from .errors import (
     ReflectionProfile,
     SingularProfile,
 )
-from .filters import FilterConfig, run_filter
+from .filters import FilterConfig
 from .simulate import (
     NoiseSpec,
     ScenarioSpec,
+    _epochs,
     filter_errors,
     gen_truth,
     make_rng,
     montecarlo_summary,
-    simulate_scenario,
 )
 
 EXIT_OK = 0
@@ -392,22 +392,13 @@ def cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def _filter_rows(run):
-    scn = run.scn
-    truth, batches = simulate_scenario(
-        scn, make_rng(run.seed), cfg=run.integ, omega_weight=run.omega_weight
-    )
-    estimates = run_filter(None, batches, scn.inertia, scn.potential, run.fcfg, mode=run.mode)
-    errors = filter_errors(truth, estimates)
-    return [
-        (st.t, *err, wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights))
-        for st, err, est, b in zip(truth, errors, estimates, batches)
-    ]
-
-
 def cmd_filter(args) -> int:
-    rows = _filter_rows(_load_run(args))
-    out = [FILTER_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
+    run = _load_run(args)
+    out = [FILTER_CSV_HEADER]
+    epochs = _epochs(run.scn, run.fcfg, run.omega_weight, run.integ, run.mode, make_rng(run.seed))
+    for st, b, est in epochs:
+        cost = wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights)
+        out.append(",".join(_fmt(v) for v in (st.t, *filter_errors([st], [est])[0], cost)))
     _emit("\n".join(out) + "\n", args.output)
     return EXIT_OK
 

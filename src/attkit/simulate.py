@@ -1,12 +1,12 @@
-"""Ground-truth trajectory generation and synthetic sensor models.
+"""Ground-truth trajectories, synthetic sensor models and simulated filter runs.
 
 Measured body vectors are the rotated references plus per-axis Gaussian
 noise, re-normalized to unit length (the usual star-tracker model); gyro
-readings are the true angular velocity plus per-axis Gaussian noise. All
-generators take an explicit counter-based random generator, so scenarios
-are bit-reproducible given a seed and independent trials can use spawned
-streams. Given a list of B generators, the measurement generators draw once
-from each and return B stacked measurements.
+readings are the true angular velocity plus per-axis Gaussian noise. Draws
+come from an explicit counter-based generator, so runs are reproducible
+given a seed; given a list of B generators, the measurement generators
+draw once from each and return B stacked measurements. One epoch driver
+runs the filter on the simulated scenario, for one trial or B of them.
 """
 
 from __future__ import annotations
@@ -215,6 +215,23 @@ def filter_errors(truth: list[BodyState], estimates: list[FilterEstimate]) -> np
     return np.array(rows) if rows else np.empty((0, 4))
 
 
+def _epochs(scn: ScenarioSpec, fcfg: FilterConfig, omega_weight, integ, mode, rng):
+    """Yield (true state, batch, estimate) per epoch of a simulated filter run.
+
+    Each epoch's batch is drawn just before its update; a list of B
+    generators advances B trials together on a leading trial axis.
+    """
+    if mode not in ("no_gyro", "with_gyro"):
+        raise ValueError(f"unknown filter mode {mode!r}")
+    step = _make_step(scn.inertia, scn.potential)
+    for k, state in enumerate(gen_truth(scn, integ)):
+        # One epoch's measurements at a time; without noise they are one
+        # measurement shared by every trial.
+        (batch,) = gen_batches_from_truth([state], scn, rng, omega_weight)
+        est = initial_estimate(batch) if k == 0 else _filter_epoch(step, est, batch, fcfg, mode)
+        yield state, batch, est
+
+
 def montecarlo_summary(
     scn: ScenarioSpec,
     fcfg: FilterConfig,
@@ -232,27 +249,18 @@ def montecarlo_summary(
     the same seed). Results are deterministic functions of (scenario,
     config, trials, master_seed).
 
-    All trials advance together, epoch by epoch, through run_filter's epoch
-    function on a leading trial axis; each stream is drawn in the order a
-    single run draws it. Every check of a single run applies to each trial;
-    when checks fail in several trials, the first failure in (epoch, check)
-    order is raised. Quantities that no noise reaches stay unstacked, shared
-    by every trial.
+    All trials advance together on a leading trial axis through _epochs,
+    the driver of a single filter run, so every check of a single run
+    applies to each trial; when checks fail in several trials, the first
+    failure in (epoch, check) order is raised. Quantities that no noise
+    reaches stay unstacked, shared by every trial.
     """
-    if mode not in ("no_gyro", "with_gyro"):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    truth = gen_truth(scn, integ)
-    # One trial takes run_filter's path on one problem: stacks of one cost
-    # numpy call overhead that plain floats do not.
+    # One trial takes the one-problem path: stacks of one cost numpy call
+    # overhead that plain floats do not.
     rngs = [make_rng(master_seed + i) for i in range(trials)]
-    rng = rngs[0] if trials == 1 else rngs
-    step = _make_step(scn.inertia, scn.potential)
-    metrics = np.empty((trials, len(truth), 4))
-    for k, state in enumerate(truth):
-        # One epoch's measurements at a time; without noise they are one
-        # measurement shared by every trial.
-        (batch,) = gen_batches_from_truth([state], scn, rng, omega_weight)
-        est = initial_estimate(batch) if k == 0 else _filter_epoch(step, est, batch, fcfg, mode)
+    epochs = _epochs(scn, fcfg, omega_weight, integ, mode, rngs[0] if trials == 1 else rngs)
+    metrics = np.empty((trials, len(scn.schedule), 4))
+    for k, (state, _, est) in enumerate(epochs):
         metrics[:, k] = filter_errors([state], [est])[0]
 
     names = ("err_att_pre", "err_att_post", "err_omega_pre", "err_omega_post")
