@@ -235,6 +235,24 @@ def test_montecarlo_single_trial_matches_filter(tmp_path, capsys):
     assert summary["trials"] == 1
 
 
+@pytest.mark.parametrize("mode", ["no-gyro", "with-gyro"])
+def test_montecarlo_single_trial_fails_like_filter(tmp_path, capsys, mode):
+    # Gyro draws that overflow to inf: some epochs' readings are not skew,
+    # and the first propagation runs at an infinite rate. Both commands must
+    # report the same first failure.
+    cfg = {"schema": 1, "scenario": _scenario_dict(sigma_gyro=1e308, seed=1, count=10)}
+    path = _write(tmp_path, "overflow.json", cfg)
+    results = []
+    for argv in (["filter"], ["montecarlo", "--trials", "1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main([*argv, "--config", path, "--mode", mode])
+        # numpy's overflow warnings may precede the error line.
+        results.append((code, capsys.readouterr().err.strip().splitlines()[-1]))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_CONFIG and results[0][1].startswith("error: ")
+
+
 def test_montecarlo_deterministic(tmp_path, capsys):
     cfg = {
         "schema": 1,

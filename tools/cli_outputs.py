@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 237 attkit CLI commands.
+"""Write the outputs of a fixed set of 249 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -29,7 +29,10 @@ The commands:
   ``montecarlo --trials 100`` in both modes, with the campaign's seed;
 * ``determine`` on 11 more problem files, which reach every branch of the
   input checks (see ``_determine_branches``); these come last, so the
-  numbers of the commands above do not depend on them.
+  numbers of the commands above do not depend on them;
+* two run files that fail (see ``_failing_runs``): ``filter`` and
+  ``montecarlo`` with ``--trials`` 1 and 3 on each, in both modes. They
+  come after the determine problems, for the same reason.
 """
 
 from __future__ import annotations
@@ -158,6 +161,17 @@ def _determine_branches(rng):
     return {f"determine_{name}": {**base, **case} for name, case in cases.items()}
 
 
+def _failing_runs(rng):
+    """Run files whose filter runs fail at the pi/4 step guard: gyro noise of
+    1e3 rad/s, which the first filter propagation starts from, and an
+    initial spin of 900 rad/s, which the truth propagation starts from."""
+    gyro = _run_file(rng, potential=False, noise=(0.0, 1e3), schedule="regular")
+    gyro["scenario"]["noise"]["seed"] = 1
+    spin = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular",
+                     omega=[900.0, 0.0, 0.0])
+    return {"fail_gyro_guard": gyro, "fail_truth_guard": spin}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -189,6 +203,8 @@ def commands(inputs):
     files["determine"] = _determine_file(rng)
     branches = _determine_branches(np.random.default_rng(20261020))
     files.update(branches)
+    failing = _failing_runs(np.random.default_rng(20261021))
+    files.update(failing)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -213,8 +229,14 @@ def commands(inputs):
             out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode, *seed]))
             out.append((f"montecarlo_{name}_{mode}_100",
                         ["montecarlo", *cfg(name), "--mode", mode, *seed, "--trials", "100"]))
-    for name in branches:  # last, so the numbering of the commands above stays
+    for name in branches:  # after the runs, so the numbering of the commands above stays
         out.append((name, ["determine", *cfg(name), "--output", f"{name}.json"]))
+    for name in failing:  # after the determine problems, for the same reason
+        for mode in MODES:
+            out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode]))
+            for trials in (1, 3):
+                out.append((f"montecarlo_{name}_{mode}_{trials}",
+                            ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
     return out
 
 
