@@ -396,7 +396,7 @@ def cmd_filter(args) -> int:
     run = _load_run(args)
     epochs = _epochs(run.scn, run.fcfg, run.omega_weight, run.integ, run.mode, make_rng(run.seed))
     out = [FILTER_CSV_HEADER]
-    # All epochs first: formatting rows in between runs 7 % slower over 400 epochs.
+    # All epochs, then all rows: interleaving them is about 3 % slower over 400 epochs.
     for st, b, est in list(epochs):
         cost = wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights)
         out.append(",".join(_fmt(v) for v in (st.t, *filter_errors([st], [est])[0], cost)))
