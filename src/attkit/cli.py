@@ -154,12 +154,12 @@ def _as_rows3(x, name: str) -> np.ndarray:
 
 
 def _as_rotation(x, name: str) -> np.ndarray:
-    # Reference attitudes in configs are often rounded; project onto SO(3)
-    # before using them as a comparison baseline.
+    # Reference attitudes in configs are often rounded; project onto SO(3),
+    # by the Procrustes solve of profile M, before comparing against them.
     M = _as_mat3(x, name)
     if np.abs(M.T @ M - np.eye(3)).max() > 1e-2:
         raise ConfigError(f"{name}: not close to a rotation matrix")
-    return so3.nearest_rotation(M)
+    return wahba.solve_attitude(wahba.profile_from_matrix(M), allow_reflection=True)[0]
 
 
 def _as_omega(x, name: str) -> np.ndarray:

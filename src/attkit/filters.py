@@ -11,7 +11,8 @@ map, so the filters are unbiased in that sense.
 
 The updates also take B trials at once: stacked attitudes and rates
 (B, 3, 3) and a batch whose body vectors are (B, 3, n); every check then
-applies to each trial.
+applies to each trial. One epoch loop runs every filter, over the batches
+a caller gives run_filter or over batches simulate draws as it goes.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class MeasurementBatch:
     weights: n positive weights (defaults to ones). omega_meas is the
     measured angular velocity as a skew matrix (or a stack of them) and
     omega_weight its symmetric positive definite weight, typically assigned
-    from the rate sensor error covariance; both may be absent.
+    from the rate sensor error covariance; both may be absent. A reading
+    whose entries or squared rate |w|^2 are not finite raises ValueError.
     """
 
     t: float
@@ -84,7 +86,14 @@ class MeasurementBatch:
         w = np.ones(refs.shape[1]) if self.weights is None else self.weights
         object.__setattr__(self, "weights", wahba.check_weights(w, n=refs.shape[1]))
         if self.omega_meas is not None:
-            object.__setattr__(self, "omega_meas", so3.check_skew(self.omega_meas))
+            om = np.asarray(self.omega_meas, dtype=float)
+            flat = om.reshape(*om.shape[:-2], -1)
+            with np.errstate(over="ignore"):  # |w|^2 = |om|^2 / 2 may overflow
+                w2 = np.vecdot(0.5 * flat, flat)
+            bad = so3._first_failure(np.isfinite(w2), w2)
+            if bad is not None:
+                raise ValueError(f"omega_meas: squared rate {bad} is not finite")
+            object.__setattr__(self, "omega_meas", so3.check_skew(om))
         if self.omega_weight is not None:
             object.__setattr__(self, "omega_weight", so3.check_spd(self.omega_weight))
 
@@ -202,10 +211,6 @@ def run_filter(
     mode is "no_gyro" or "with_gyro"; the latter requires omega_meas and
     omega_weight on every batch.
     """
-    if mode not in ("no_gyro", "with_gyro"):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    if not batches:
-        return []
     times = [b.t for b in batches]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise ValueError("batch times must be strictly increasing")
@@ -215,38 +220,41 @@ def run_filter(
                 raise MissingGyro(
                     f"batch {k} lacks omega_meas/omega_weight in with_gyro mode"
                 )
-
-    if init is not None and abs(init.t - batches[0].t) > 1e-12 * max(1.0, abs(init.t)):
+    if init is not None and batches and abs(init.t - times[0]) > 1e-12 * max(1.0, abs(init.t)):
         raise ValueError(
-            f"initial estimate time {init.t!r} does not match first epoch {batches[0].t!r}"
+            f"initial estimate time {init.t!r} does not match first epoch {times[0]!r}"
         )
     C0, Omega0 = (None, None) if init is None else (init.C_plus, init.Omega_plus)
-    out = [initial_estimate(batches[0], C0, Omega0)]
+    return list(_estimates(batches, inertia, potential, cfg, mode, C0, Omega0))
+
+
+def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Omega0=None):
+    """Yield one estimate per batch of any iterable: the one epoch loop.
+
+    The first is initial_estimate(batch, C0, Omega0); every later one
+    propagates the previous plus estimate to batch.t, then updates. Stacked
+    estimates or batches advance B trials at once, each check per trial."""
+    if mode not in ("no_gyro", "with_gyro"):
+        raise ValueError(f"unknown filter mode {mode!r}")
     step = _make_step(inertia, potential)
-    for batch in batches[1:]:
-        out.append(_filter_epoch(step, out[-1], batch, cfg, mode))
-    return out
-
-
-def _filter_epoch(step, prev: FilterEstimate, batch: MeasurementBatch, cfg: FilterConfig, mode):
-    """One later epoch: propagate prev's plus estimate to batch.t, then update.
-
-    step is dynamics._make_step's RKMK4 step for the body. The same code
-    advances B trials at once when prev holds stacked estimates or batch
-    stacked measurements; every check then applies to each trial.
-    """
-    w = so3.vee(prev.Omega_plus)
-    C_minus, w = _advance(
-        step, so3.check_rotation(prev.C_plus), w.tolist() if w.ndim == 1 else tuple(w),
-        batch.t - prev.t, cfg.integrator.step,
-    )
-    # The checks a propagated body state gets.
-    C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
-    C_plus = update_attitude(C_minus, batch, cfg)
-    if mode == "no_gyro":
-        Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)
-    else:
-        Omega_plus = update_omega_with_gyro(
-            Omega_minus, batch.omega_meas, batch.omega_weight, cfg.Gamma
-        )
-    return FilterEstimate(batch.t, C_minus, C_plus, Omega_minus, Omega_plus)
+    est = None
+    for batch in batches:
+        if est is None:
+            est = initial_estimate(batch, C0, Omega0)
+        else:
+            w = so3.vee(est.Omega_plus)
+            C_minus, w = _advance(
+                step, so3.check_rotation(est.C_plus), w.tolist() if w.ndim == 1 else tuple(w),
+                batch.t - est.t, cfg.integrator.step,
+            )
+            # The checks a propagated body state gets.
+            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
+            C_plus = update_attitude(C_minus, batch, cfg)
+            if mode == "no_gyro":
+                Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)
+            else:
+                Omega_plus = update_omega_with_gyro(
+                    Omega_minus, batch.omega_meas, batch.omega_weight, cfg.Gamma
+                )
+            est = FilterEstimate(batch.t, C_minus, C_plus, Omega_minus, Omega_plus)
+        yield est

@@ -5,8 +5,8 @@ noise, re-normalized to unit length (the usual star-tracker model); gyro
 readings are the true angular velocity plus per-axis Gaussian noise. Draws
 come from an explicit counter-based generator, so runs are reproducible
 given a seed; given a list of B generators, the measurement generators
-draw once from each and return B stacked measurements. One epoch driver
-runs the filter on the simulated scenario, for one trial or B of them.
+draw once from each and return B stacked measurements. A simulated run, of
+one trial or B, feeds the filter's one epoch loop batches drawn as it goes.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import numpy as np
 
 from . import so3, wahba
 from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, propagate
-from .dynamics import _make_step
 from .errors import ShapeMismatch
-from .filters import FilterConfig, FilterEstimate, MeasurementBatch, _filter_epoch
-from .filters import initial_estimate
+from .filters import FilterConfig, FilterEstimate, MeasurementBatch, _estimates
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -218,17 +216,15 @@ def filter_errors(truth: list[BodyState], estimates: list[FilterEstimate]) -> np
 def _epochs(scn: ScenarioSpec, fcfg: FilterConfig, omega_weight, integ, mode, rng):
     """Yield (true state, batch, estimate) per epoch of a simulated filter run.
 
-    Each epoch's batch is drawn just before its update; a list of B
-    generators advances B trials together on a leading trial axis.
+    The truth is propagated first; each epoch's batch is then drawn just
+    before its update. A list of B generators advances B trials together
+    on a leading trial axis.
     """
-    if mode not in ("no_gyro", "with_gyro"):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    step = _make_step(scn.inertia, scn.potential)
-    for k, state in enumerate(gen_truth(scn, integ)):
-        # One epoch's measurements at a time; without noise they are one
-        # measurement shared by every trial.
-        (batch,) = gen_batches_from_truth([state], scn, rng, omega_weight)
-        est = initial_estimate(batch) if k == 0 else _filter_epoch(step, est, batch, fcfg, mode)
+    truth = gen_truth(scn, integ)
+    # One epoch's measurements at a time, kept in batch until yielded;
+    # without noise they are one measurement shared by every trial.
+    drawn = (batch := gen_batches_from_truth([s], scn, rng, omega_weight)[0] for s in truth)
+    for state, est in zip(truth, _estimates(drawn, scn.inertia, scn.potential, fcfg, mode)):
         yield state, batch, est
 
 

@@ -123,15 +123,6 @@ def solve_skew_sylvester(K, m) -> np.ndarray:
     return hat(np.linalg.solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T)
 
 
-def nearest_rotation(M) -> np.ndarray:
-    """Rotation closest to M in the Frobenius norm (sign-corrected SVD)."""
-    U, _, Vt = np.linalg.svd(M)
-    D = np.zeros(U.shape)
-    D[..., 0, 0] = D[..., 1, 1] = 1.0
-    D[..., 2, 2] = np.sign(np.linalg.det(U @ Vt))
-    return U @ D @ Vt
-
-
 def trace_inner(A, B) -> float:
     """Trace inner product trace(A^T B) of two equally shaped matrices."""
     A = np.asarray(A, dtype=float)

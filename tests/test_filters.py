@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,36 @@ def _scenario(sigma_vec=0.0, sigma_gyro=0.0, seed=0, count=20, dt=0.05, omega0=(
         schedule=dt * np.arange(1, count + 1),
         noise=NoiseSpec(sigma_vec=sigma_vec, sigma_gyro=sigma_gyro, seed=seed),
     )
+
+
+# ---------------------------------------------------------------------------
+# measurement batches
+
+@pytest.mark.parametrize("rate", [
+    (np.inf, 0.0, 0.0),
+    (np.nan, 0.1, 0.2),
+    (1e308, 0.0, 0.0),  # finite entries whose squared rate overflows
+    (1e154, 1e154, 1e154),
+])
+def test_measurement_batch_rejects_a_gyro_reading_that_is_not_finite(rate):
+    refs = clustered_references(5, 0.3, rng=make_rng(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy does not warn on the way
+        with pytest.raises(ValueError, match=r"^omega_meas: squared rate (inf|nan) is not"):
+            MeasurementBatch(t=0.0, refs=refs, body=refs, omega_meas=so3.hat(rate))
+
+
+def test_measurement_batch_checks_each_gyro_reading_of_a_stack():
+    refs = clustered_references(5, 0.3, rng=make_rng(3))
+    body = np.stack([refs] * 3)
+    # |w|^2 = 1.47e308 is finite, though the squared norm of hat(w) is not.
+    Om = so3.hat(np.array([[0.1, 0.2, 0.3], [7e153] * 3, [0.0, 1e308, 0.0]]).T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^omega_meas: squared rate inf is not"):
+            MeasurementBatch(t=0.0, refs=refs, body=body, omega_meas=Om)
+        kept = MeasurementBatch(t=0.0, refs=refs, body=body[:2], omega_meas=Om[:2])
+    assert np.array_equal(kept.omega_meas, Om[:2])
 
 
 # ---------------------------------------------------------------------------

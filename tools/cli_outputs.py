@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 249 attkit CLI commands.
+"""Write the outputs of a fixed set of 255 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -30,7 +30,7 @@ The commands:
 * ``determine`` on 11 more problem files, which reach every branch of the
   input checks (see ``_determine_branches``); these come last, so the
   numbers of the commands above do not depend on them;
-* two run files that fail (see ``_failing_runs``): ``filter`` and
+* three run files that fail (see ``_failing_runs``): ``filter`` and
   ``montecarlo`` with ``--trials`` 1 and 3 on each, in both modes. They
   come after the determine problems, for the same reason.
 """
@@ -162,14 +162,18 @@ def _determine_branches(rng):
 
 
 def _failing_runs(rng):
-    """Run files whose filter runs fail at the pi/4 step guard: gyro noise of
-    1e3 rad/s, which the first filter propagation starts from, and an
-    initial spin of 900 rad/s, which the truth propagation starts from."""
+    """Run files whose filter runs fail: two at the pi/4 step guard, with gyro
+    noise of 1e3 rad/s, which the first filter propagation starts from, and
+    an initial spin of 900 rad/s, which the truth propagation starts from;
+    and one whose gyro noise of 1e308 rad/s gives readings whose entries or
+    squared rate overflow, which the first measurement batch rejects. Each
+    is drawn after the ones before it, so their inputs stay as they were."""
     gyro = _run_file(rng, potential=False, noise=(0.0, 1e3), schedule="regular")
     gyro["scenario"]["noise"]["seed"] = 1
     spin = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular",
                      omega=[900.0, 0.0, 0.0])
-    return {"fail_gyro_guard": gyro, "fail_truth_guard": spin}
+    overflow = _run_file(rng, potential=False, noise=(0.0, 1e308), schedule="regular")
+    return {"fail_gyro_guard": gyro, "fail_truth_guard": spin, "fail_gyro_overflow": overflow}
 
 
 def commands(inputs):
