@@ -87,13 +87,21 @@ class MeasurementBatch:
         object.__setattr__(self, "weights", wahba.check_weights(w, n=refs.shape[1]))
         if self.omega_meas is not None:
             om = np.asarray(self.omega_meas, dtype=float)
-            flat = om.reshape(*om.shape[:-2], -1)
-            with np.errstate(over="ignore"):  # |w|^2 = |om|^2 / 2 may overflow
-                w2 = np.vecdot(0.5 * flat, flat)
-            bad = so3._first_failure(np.isfinite(w2), w2)
+            one = om.shape == (3, 3)  # one reading: both checks from its floats
+            if one:
+                (a, b, c), (d, e, f), (g, h, i) = rows = om.tolist()
+                w2 = sum(0.5 * v * v for r in rows for v in r)  # |w|^2 = |om|^2 / 2
+                resid = max(abs(a + a), abs(b + d), abs(c + g), abs(e + e), abs(f + h), abs(i + i))
+            else:
+                flat = om.reshape(*om.shape[:-2], -1)
+                with np.errstate(over="ignore"):  # |w|^2 may overflow
+                    w2 = np.vecdot(0.5 * flat, flat)
+            bad = so3._first_failure(w2 < np.inf, w2)
             if bad is not None:
                 raise ValueError(f"omega_meas: squared rate {bad} is not finite")
-            object.__setattr__(self, "omega_meas", so3.check_skew(om))
+            if one:
+                so3._check_skew_residual(resid)
+            object.__setattr__(self, "omega_meas", om if one else so3.check_skew(om))
         if self.omega_weight is not None:
             object.__setattr__(self, "omega_weight", so3.check_spd(self.omega_weight))
 

@@ -44,11 +44,14 @@ def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
-    resid = np.abs(X + X.mT).max()
-    if not resid <= tol:
-        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
+    _check_skew_residual(np.abs(X + X.mT).max(), tol)
     Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
     return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
+
+
+def _check_skew_residual(resid, tol: float = SKEW_TOL):
+    if not resid <= tol:  # NaN fails
+        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
 
 
 def exp_so3(X) -> np.ndarray:

@@ -23,17 +23,21 @@ the screen cannot vouch for, and every set of a stack that holds one, take
 the SVD path, which alone decides and raises: results and messages are the
 SVD path's.
 
-A profile whose matrix, determinant or norm is not finite raises
-ValueError, not SingularProfile. build_profile and profile_from_matrix run
-with numpy's overflow and invalid warnings off. check_vector_set sets no
-error state of its own, which would cost a call about as much as its Gram
-product, so on its own a set with infinite entries or entries beyond about
-1e154 can make numpy warn from the Gram product.
+profile_from_matrix takes one SVD L = U diag(s) V^T per profile, sets its
+det to d s1 s2 s3 (d the sign of det L), and solve_attitude reuses it. One
+profile is checked on Python floats, which do not warn; a stack, and
+build_profile, run with numpy's overflow and invalid warnings off. A
+profile whose matrix, determinant or norm is not finite raises ValueError,
+not SingularProfile. check_vector_set sets no error state (that would cost
+about as much as its Gram product), so alone it can warn on entries beyond
+about 1e154.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,18 +52,18 @@ DET_RTOL = 1e-12
 # the largest one.
 SQRT_EIG_RTOL = 1e-12
 
-# Decorator: the function runs with numpy's overflow and invalid warnings
-# off; its own checks report non-finite values.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+_OVERFLOW = "profile overflows: its matrix, determinant or norm is not finite"
 
 
 @dataclass(frozen=True, eq=False)
 class AttitudeProfile:
-    """3x3 attitude profile matrix with its determinant cached (or a stack
-    of them with an array of determinants)."""
+    """3x3 attitude profile matrix L and its determinant (or a stack of them).
+    From profile_from_matrix, det = d s1 s2 s3 and _svd = (U, s, V^T), L's
+    SVD, which solve_attitude reuses and never modifies; by hand, _svd is None."""
 
     matrix: np.ndarray
     det: float
+    _svd: tuple | None = field(default=None, repr=False)
 
 
 def check_vector_set(V, unit: bool = False, name: str = "vector set") -> np.ndarray:
@@ -97,36 +101,48 @@ def check_weights(w, n: int | None = None) -> np.ndarray:
         raise ShapeMismatch(f"weights must be 1-d, got shape {w.shape}")
     if n is not None and w.shape[0] != n:
         raise ShapeMismatch(f"expected {n} weights, got {w.shape[0]}")
-    # NaN fails both comparisons; an empty vector has no extremes to check.
-    if w.size and not (0.0 < w.min() and w.max() < np.inf):
+    # On Python floats, which cost less than numpy's min and max; NaN fails.
+    if not all(0.0 < x < math.inf for x in w.tolist()):
         raise ValueError("weights must be finite and strictly positive")
     return w
 
 
-@_quiet
 def profile_from_matrix(M) -> AttitudeProfile:
-    """Wrap a precomputed 3x3 profile matrix, enforcing nonsingularity.
-
-    A matrix whose entries, determinant or norm cubed are not finite (an
-    overflow, for finite entries beyond about 1e102) raises ValueError.
-    """
+    """Wrap a precomputed 3x3 profile matrix, enforcing nonsingularity: on
+    its one SVD, s1 s2 s3 > DET_RTOL (s1^2 + s2^2 + s3^2)^1.5. Entries,
+    determinant or norm cubed that are not finite (an overflow, for finite
+    entries beyond about 1e102) raise ValueError."""
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"profile must be 3x3, got {M.shape}")
-    det = np.linalg.det(M)
-    flat = M.reshape(*M.shape[:-2], 9)
-    # norm(M)^3, from each profile's squared Frobenius norm; NaN or inf in M
-    # makes it NaN or inf
-    floor = DET_RTOL * np.vecdot(flat, flat) ** 1.5
-    bad = so3._first_failure(abs(det) > floor, det)
+    # rows(X): X's rows as floats, or a stack's X^T rows as arrays (det X^T = det X)
+    one = M.ndim == 2
+    rows, xp = (np.ndarray.tolist, math) if one else (lambda X: X.T, np)
+    with contextlib.nullcontext() if one else np.errstate(over="ignore", invalid="ignore"):
+        # No SVD of NaN or inf entries (LAPACK's does not return on inf), nor
+        # of a norm that overflows
+        sq = sum(x * x for r in rows(M) for x in r)
+        if so3._first_failure(sq < math.inf, sq) is not None:
+            raise ValueError(_OVERFLOW)
+        U, s, Vt = factors = np.linalg.svd(M)
+        s1, s2, s3 = rows(s)
+        size, q = s1 * s2 * s3, s1 * s1 + s2 * s2 + s3 * s3
+        det = xp.copysign(size, _det3(rows(U)) * _det3(rows(Vt)))  # U, V^T orthogonal
+        floor = DET_RTOL * (q * xp.sqrt(q))
+        bad = so3._first_failure(size > floor, det)
     if bad is not None:
-        if not (np.isfinite(det).all() and np.isfinite(floor).all()):
-            raise ValueError("profile overflows: its matrix, determinant or norm is not finite")
+        if not (np.isfinite(size).all() and np.isfinite(floor).all()):
+            raise ValueError(_OVERFLOW)
         raise SingularProfile(f"profile determinant {bad:.3e} below noise floor")
-    return AttitudeProfile(matrix=M, det=det)
+    return AttitudeProfile(M, det, factors)
 
 
-@_quiet
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # its checks report non-finite values
 def build_profile(refs, weights, body) -> AttitudeProfile:
     """Accumulate the attitude profile matrix sum_i w_i e_i b_i^T.
 
@@ -151,7 +167,7 @@ def solve_attitude(
 
     Returns (attitude, factor): the optimal rotation and the symmetric
     positive definite matrix S such that attitude = S @ profile.matrix.
-    The closed form C = (L L^T)^-1/2 L is evaluated from one SVD
+    The closed form C = (L L^T)^-1/2 L is evaluated from the profile's SVD
     L = U diag(s) V^T as C = U V^T and S = U diag(1/s) U^T: their errors
     grow as eps times the condition number s1/s3; forming L L^T squares it.
 
@@ -163,14 +179,15 @@ def solve_attitude(
     det = so3._first_failure(profile.det > 0.0, profile.det)
     if det is not None and not allow_reflection:
         raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
-    U, s, Vt = np.linalg.svd(profile.matrix)
-    st = s.T  # stack axis last
+    U, s, Vt = profile._svd or np.linalg.svd(profile.matrix)
+    s1, _, s3 = s.tolist() if s.ndim == 1 else s.T  # stack axis last
     # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
-    bad = so3._first_failure(st[2] * st[2] > SQRT_EIG_RTOL * (st[0] * st[0]), s)
+    bad = so3._first_failure(s3 * s3 > SQRT_EIG_RTOL * (s1 * s1), s)
     if bad is not None:
         raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
     if det is not None:  # d = -1 where det L < 0 (in a stack, +1 on the others)
         d = np.where(profile.det > 0.0, 1.0, -1.0)[..., None]
+        Vt, s = Vt.copy(), s.copy()  # the profile's factors stay as they are
         Vt[..., 2, :] *= d
         s[..., 2:] *= d
     S = (U / s[..., None, :]) @ U.mT

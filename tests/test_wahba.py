@@ -59,16 +59,18 @@ def test_build_profile_rank_deficient_raises():
 def test_check_vector_set_screen_skips_the_svd_on_well_conditioned_sets(monkeypatch):
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **k: calls.append(M.shape) or svd(M, **k))
     rng = np.random.default_rng(30)
     wahba.check_vector_set(_random_unit_set(rng, n=7))
     wahba.check_vector_set(np.stack([_random_unit_set(rng, n=7) for _ in range(4)]))
-    wahba.build_profile(rc.REFS, ONES7, rc.BODY_MEAS)
     assert calls == []
+    # build_profile takes one SVD, the profile's, and none of its vector sets.
+    wahba.build_profile(rc.REFS, ONES7, rc.BODY_MEAS)
+    assert calls == [(3, 3)]
     # s3/s1 = 2e-6 is rank 3 but inside the screen's margin: the SVD decides.
     U, W = so3.random_rotation(rng), np.linalg.qr(rng.normal(size=(7, 3)))[0]
     wahba.check_vector_set(U @ np.diag([1.0, 0.5, 2e-6]) @ W.T)
-    assert calls == [1]
+    assert calls == [(3, 3), (3, 7)]
 
 
 def test_check_vector_set_unit_flag():
