@@ -35,7 +35,6 @@ about 1e154.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -115,21 +114,26 @@ def profile_from_matrix(M) -> AttitudeProfile:
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"profile must be 3x3, got {M.shape}")
-    # rows(X): X's rows as floats, or a stack's X^T rows as arrays (det X^T = det X)
-    one = M.ndim == 2
-    rows, xp = (np.ndarray.tolist, math) if one else (lambda X: X.T, np)
-    with contextlib.nullcontext() if one else np.errstate(over="ignore", invalid="ignore"):
-        # No SVD of NaN or inf entries (LAPACK's does not return on inf), nor
-        # of a norm that overflows
-        sq = sum(x * x for r in rows(M) for x in r)
-        if so3._first_failure(sq < math.inf, sq) is not None:
-            raise ValueError(_OVERFLOW)
-        U, s, Vt = factors = np.linalg.svd(M)
-        s1, s2, s3 = rows(s)
-        size, q = s1 * s2 * s3, s1 * s1 + s2 * s2 + s3 * s3
-        det = xp.copysign(size, _det3(rows(U)) * _det3(rows(Vt)))  # U, V^T orthogonal
-        floor = DET_RTOL * (q * xp.sqrt(q))
-        bad = so3._first_failure(size > floor, det)
+    if M.ndim > 2:  # a stack: its checks on arrays, stack axis last
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _factored(M, np, lambda X: X.T)
+    return _factored(M, math, np.ndarray.tolist)  # one problem: on floats
+
+
+def _factored(M, xp, rows) -> AttitudeProfile:
+    # rows(X) gives X's rows as floats, or X^T's as arrays (det X^T = det X).
+    # No SVD of NaN or inf entries (LAPACK's does not return on inf), nor of
+    # a norm that overflows.
+    (a, b, c), (d, e, f), (g, h, i) = rows(M)
+    sq = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
+    if so3._first_failure(sq < math.inf, sq) is not None:
+        raise ValueError(_OVERFLOW)
+    U, s, Vt = factors = np.linalg.svd(M)
+    s1, s2, s3 = rows(s)
+    size, q = s1 * s2 * s3, s1 * s1 + s2 * s2 + s3 * s3
+    det = xp.copysign(size, _det3(rows(U)) * _det3(rows(Vt)))  # U, V^T orthogonal
+    floor = DET_RTOL * (q * xp.sqrt(q))
+    bad = so3._first_failure(size > floor, det)
     if bad is not None:
         if not (np.isfinite(size).all() and np.isfinite(floor).all()):
             raise ValueError(_OVERFLOW)
