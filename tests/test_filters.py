@@ -5,7 +5,7 @@ import pytest
 
 from attkit import so3, wahba
 from attkit.dynamics import BodyState, InertiaSpec, IntegratorConfig, zero_potential
-from attkit.errors import InconsistentUpdate, MissingGyro
+from attkit.errors import InconsistentUpdate, MissingGyro, NotSkew
 from attkit.filters import (
     FilterConfig,
     FilterEstimate,
@@ -71,6 +71,43 @@ def test_measurement_batch_checks_each_gyro_reading_of_a_stack():
             MeasurementBatch(t=0.0, refs=refs, body=body, omega_meas=Om)
         kept = MeasurementBatch(t=0.0, refs=refs, body=body[:2], omega_meas=Om[:2])
     assert np.array_equal(kept.omega_meas, Om[:2])
+
+
+def _gyro_checks_reference(om):
+    # MeasurementBatch's gyro checks as two numpy passes, as they ran before
+    # one reading was checked on its floats: |w|^2 finite, then check_skew.
+    flat = om.reshape(*om.shape[:-2], -1)
+    with np.errstate(over="ignore"):
+        w2 = np.vecdot(0.5 * flat, flat)
+    bad = so3._first_failure(np.isfinite(w2), w2)
+    if bad is not None:
+        raise ValueError(f"omega_meas: squared rate {bad} is not finite")
+    return so3.check_skew(om)
+
+
+def test_one_gyro_reading_is_checked_as_the_two_numpy_passes():
+    # Every entry of a skew reading, in turn, moved just inside and outside
+    # the skew tolerance, to NaN, to +-inf and to a value whose square
+    # overflows: the one-pass check decides, and words its error, as the
+    # two numpy passes do.
+    refs = clustered_references(5, 0.3, rng=make_rng(3))
+    base = so3.hat([0.3, -0.2, 0.1])
+    checked = 0
+    for i in range(3):
+        for j in range(3):
+            for v in (4e-13, 2e-12, 1.0, np.nan, np.inf, -np.inf, 1e200):
+                om = base.copy()
+                om[i, j] += v
+                outcomes = []
+                for check in (lambda: _gyro_checks_reference(om),
+                              lambda: MeasurementBatch(0.0, refs, refs, omega_meas=om).omega_meas):
+                    try:
+                        outcomes.append(check().tolist())
+                    except (ValueError, NotSkew) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], (i, j, v)
+                checked += isinstance(outcomes[0], list)
+    assert checked == 9  # 4e-13 stays inside the tolerance at every entry
 
 
 # ---------------------------------------------------------------------------
