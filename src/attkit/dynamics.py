@@ -9,10 +9,10 @@ G = dV/dC is G^T C - C^T G.
 
 Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
-4th-order Munthe-Kaas Runge-Kutta scheme. A free body's rates do not involve
-the attitude, so its exponentials are formed for a block of steps at once.
-In a potential the attitude moves every step, and an interval is stepped on
-its nine components as plain floats (or (B,) arrays for B bodies).
+4th-order Munthe-Kaas Runge-Kutta scheme. Every body, free or in a
+potential, is stepped on its attitude's nine components as plain floats (or
+(B,) arrays for B bodies), and each step's update C exp(hat(th)) is one
+function of them.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismat
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
-# A free body's step exponentials are formed per block of at most _FOLD_BLOCK
-# steps x trials; one stacked call forms them when a block has _STACK_MIN steps.
-_FOLD_BLOCK, _STACK_MIN = 1024, 5
 # A declared gradient is checked at the identity and at this rotation.
 _PROBE = so3._exp_vec((0.6, -0.8, 1.1))
 
@@ -79,9 +76,8 @@ class PotentialModel:
     gradient A; construction raises ValueError unless gradient returns
     exactly A at the identity and at one other fixed rotation. The
     integrator then never calls gradient. An all-zero coeff is a free body,
-    whose attitude exponentials are formed per block of steps. With coeff
-    None, gradient is called at every stage attitude, one 3x3 attitude at a
-    time.
+    whose steps skip the moment and the stage attitudes. With coeff None,
+    gradient is called at every stage attitude, one 3x3 attitude at a time.
     """
 
     value: Callable[[np.ndarray], float]
@@ -222,7 +218,6 @@ def _make_rhs(inertia, potential):
             i20 * c0 + i21 * c1 + i22 * c2,
         )
 
-    f.free = free  # whether C can wait: see _advance
     return f
 
 
@@ -236,7 +231,7 @@ def _gradient(gradient, C):
 def _gradient_components(gradient, c):
     # An undeclared gradient at the attitude with components c, or at each
     # attitude of a stack, taken one 3x3 attitude at a time.
-    C = _matrix(c)
+    C = so3._matrix(c)
     return _components(
         _gradient(gradient, C) if C.ndim == 2 else np.array([_gradient(gradient, m) for m in C])
     )
@@ -249,15 +244,9 @@ def _components(C):
     return tuple(C.ravel().tolist()) if C.ndim == 2 else tuple(C.reshape(-1, 9).T)
 
 
-def _matrix(c):
-    # Inverse of _components: the 3x3 attitude, or the (B, 3, 3) stack.
-    m = np.array(c)
-    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
-
-
 def _rotate(c, v):
-    # The components of C exp(hat(v)) from those of C: the attitude update
-    # of a body in a potential, at its stages and at the end of each step.
+    # The components of C exp(hat(v)) from those of C: the one attitude
+    # update, at a potential's stages and at the end of every step.
     x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
     e00, e01, e02, e10, e11, e12, e20, e21, e22 = so3._exp_components(*v)
     return (
@@ -307,7 +296,6 @@ def _make_step(inertia, potential):
         )
         return th, wn
 
-    step.free = f.free
     return step
 
 
@@ -359,17 +347,15 @@ def propagate(
 def _advance(step, C, w, span, h):
     # Steps (C, w) over span >= 0: full steps of h, then a partial step. The
     # rate w is three floats, or three (B,) arrays for B bodies at once,
-    # whose fastest one the pi/4 guard checks. In a potential, whose stages
-    # read it, C moves every step as its components; for a free body, once
-    # per block.
+    # whose fastest one the pi/4 guard checks. C moves every step, on its
+    # components; its matrix is formed once, at the end.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    ths, block = [], max(1, _FOLD_BLOCK // getattr(w[0], "size", 1))
-    c = C if step.free else _components(C)
+    c = _components(C)
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
         r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
@@ -378,21 +364,8 @@ def _advance(step, C, w, span, h):
                 f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
             )
         th, w = step(c, w, dt)
-        if step.free:
-            ths.append(th)
-        else:
-            c = _rotate(c, th)
-        if len(ths) == block:
-            c, ths = _fold(c, ths), []
-    return (_fold(c, ths) if step.free else _matrix(c)), w
-
-
-def _fold(C, ths):
-    # C exp(th_1) exp(th_2) ... left to right, bit for bit as step by step.
-    stack = len(ths) >= _STACK_MIN
-    for E in so3._exp_vec(np.array(ths).swapaxes(0, 1)) if stack else map(so3._exp_vec, ths):
-        C = C @ E
-    return C
+        c = _rotate(c, th)
+    return so3._matrix(c), w
 
 
 @dataclass(frozen=True)

@@ -67,19 +67,13 @@ def exp_so3(X) -> np.ndarray:
 def _exp_vec(w) -> np.ndarray:
     # Rodrigues formula in axis-angle coordinates; w is a plain 3-sequence,
     # or three equally shaped arrays for a stack of rotations.
-    x, y, z = w
-    a, b = _rodrigues(x * x + y * y + z * z)
-    if getattr(a, "ndim", 0):
-        a, b = a[..., None, None], b[..., None, None]
-    W = hat(w)
-    return _I3 + a * W + b * (W @ W)
+    return _matrix(_exp_components(*w))
 
 
 def _exp_components(x, y, z):
     # exp(hat(w)) as its nine entries, row by row: the Rodrigues formula on
-    # plain floats, or on equally shaped arrays for a stack. OpenBLAS fuses
-    # the diagonal of _exp_vec's W @ W with an FMA, so the two differ in a
-    # few entries, by at most 2 eps.
+    # plain floats, or on equally shaped arrays for a stack, elementwise, so
+    # a stack's entries equal one rotation's bit for bit.
     xx, yy, zz = x * x, y * y, z * z
     a, b = _rodrigues(xx + yy + zz)
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
@@ -89,6 +83,13 @@ def _exp_components(x, y, z):
         bxy + az, 1.0 - b * (xx + zz), byz - ax,
         bxz - ay, byz + ax, 1.0 - b * (xx + yy),
     )
+
+
+def _matrix(c):
+    # The 3x3 matrix with the nine entries c, row by row, or the (B, 3, 3)
+    # stack with nine (B,) arrays.
+    m = np.array(c)
+    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
 
 
 def _rodrigues(t2):

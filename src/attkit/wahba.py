@@ -183,6 +183,8 @@ def solve_attitude(
     det = so3._first_failure(profile.det > 0.0, profile.det)
     if det is not None and not allow_reflection:
         raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
+    if profile._svd is None and not np.isfinite(profile.matrix).all():
+        raise ValueError(_OVERFLOW)  # LAPACK's SVD does not return on inf
     U, s, Vt = profile._svd or np.linalg.svd(profile.matrix)
     s1, _, s3 = s.tolist() if s.ndim == 1 else s.T  # stack axis last
     # The floor on the eigenvalues s^2 of L L^T, reported in ascending order

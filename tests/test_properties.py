@@ -103,16 +103,16 @@ def test_propagation_composes_at_step_aligned_times(r, w, h, na, nb, coeff):
 
 
 def _step_by_step(step, C, w, span, h):
-    # Every step followed by its own attitude update C exp(th), with the span
-    # split into steps as _advance splits it. In a potential the update is the
-    # library's one update of the attitude's components.
+    # Every step followed by its own attitude update C exp(th), the library's
+    # one update of the attitude's components, with the span split into steps
+    # as _advance splits it.
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
-    c = C if step.free else dynamics._components(C)
+    c = dynamics._components(C)
     for dt in [h] * n_full + ([rem] if rem > 1e-12 * max(1.0, abs(span)) else []):
         th, w = step(c, w, dt)
-        c = c @ so3._exp_vec(th) if step.free else dynamics._rotate(c, th)
-    return (c if step.free else dynamics._matrix(c)), w
+        c = dynamics._rotate(c, th)
+    return so3._matrix(c), w
 
 
 @SETTINGS
@@ -125,10 +125,6 @@ def _step_by_step(step, C, w, span, h):
     st.sampled_from(["one", "stacked", "shared attitude"]),
     st.lists(st.tuples(vec3, st.floats(-8.0, 0.5)), min_size=1, max_size=4),
     st.floats(1e-4, 1e-2),
-    # Blocks of 1 to 24 steps x trials in place of the module's 1,024, so
-    # that a short span holds several: blocks of fewer than 5 steps are
-    # folded one exponential at a time, longer ones in one stacked call.
-    st.integers(1, 24),
     st.integers(1, 120),
     # No partial step, a tiny one (its increment takes the series branch of
     # the exponential beside larger ones), or an ordinary one.
@@ -136,25 +132,32 @@ def _step_by_step(step, C, w, span, h):
     st.sampled_from([None, [[0.3, -0.2, 0.1], [0.0, 0.4, -0.3], [0.2, 0.1, -0.5]]]),
 )
 def test_advance_equals_the_step_by_step_attitude_update(
-    eigs, r, layout, rates, h, block, n, frac, coeff
+    eigs, r, layout, rates, h, n, frac, coeff
 ):
     # Slow rates, from 1e-8 rad/s up, give increments below the series
-    # branch's 1e-6 threshold in the same block as fast ones.
+    # branch's 1e-6 threshold in the same stack as fast ones.
     inertia = InertiaSpec(np.diag(eigs))
     pot = zero_potential() if coeff is None else linear_potential(coeff)
     if coeff is not None:
-        n = min(n, 40)  # C moves every step in a potential: no blocks to span
+        n = min(n, 40)  # a potential's stages cost more: shorter spans
     step = dynamics._make_step(inertia, pot)
     w = np.array([np.array(v) * 10.0**m for v, m in rates])
     C, w = _rotation(r), (w[0].tolist() if layout == "one" else tuple(w.T))
     if layout == "stacked":
         C = np.array([_rotation(np.multiply(r, k + 1) / 4) for k in range(len(rates))])
     span = (n + frac) * h
-    with mock.patch.object(dynamics, "_FOLD_BLOCK", block):
-        C_adv, w_adv = dynamics._advance(step, C, w, span, h)
+    C_adv, w_adv = dynamics._advance(step, C, w, span, h)
     C_ref, w_ref = _step_by_step(step, C, w, span, h)
     assert np.array_equal(C_adv, C_ref)
     assert np.array_equal(np.asarray(w_adv), np.asarray(w_ref))
+    if layout != "one":
+        # Each trial of a stack advances bit for bit as that body alone.
+        for k in range(len(rates)):
+            C1, w1 = dynamics._advance(
+                step, C if C.ndim == 2 else C[k], [float(x[k]) for x in w], span, h
+            )
+            assert np.array_equal(C_adv[k], C1)
+            assert [x[k] for x in w_adv] == list(w1)
 
 
 # Rotation angles from 1e-9 to pi, log-uniform, and around the exponential's
@@ -192,11 +195,10 @@ def test_component_exponential_lands_in_so3(axis, theta):
 @SETTINGS
 @given(vec3, angle)
 def test_component_exponential_matches_exp_vec(axis, theta):
-    # _exp_vec's W @ W runs on BLAS, which fuses its diagonal with an FMA;
-    # over 4M random draws the entries differed by at most 2 eps.
+    # One Rodrigues formula: _exp_vec is the component exponential's matrix.
     w = _axis_angle(axis, theta)
     E = np.reshape(so3._exp_components(*w), (3, 3))
-    assert np.abs(E - so3._exp_vec(w)).max() <= 2 * EPS
+    assert np.array_equal(E, so3._exp_vec(w))
 
 
 @SETTINGS

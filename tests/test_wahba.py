@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -255,6 +258,36 @@ def test_profile_overflow_is_a_value_error_without_warnings():
     # An underflowed profile stays what it was: singular.
     with pytest.raises(SingularProfile):
         wahba.build_profile(1e-160 * E, np.ones(5), 1e-160 * B)
+
+
+# Run in a child process: LAPACK's SVD of an inf entry does not return.
+_SOLVE_NON_FINITE = """
+import numpy as np
+from attkit import wahba
+cases = [(np.diag([np.inf, 1.0, 1.0]), np.inf)]
+for bad in (np.inf, -np.inf, np.nan):
+    cases.append((np.diag([1.0, bad, 1.0]), 1.0))
+    cases.append((np.stack([np.eye(3), np.full((3, 3), bad)]), np.ones(2)))
+for matrix, det in cases:
+    for allow_reflection in (False, True):
+        try:
+            wahba.solve_attitude(wahba.AttitudeProfile(matrix, det), allow_reflection)
+        except ValueError as exc:  # LinAlgError is one too: check the message
+            assert str(exc) == wahba._OVERFLOW, repr(exc)
+        else:
+            raise AssertionError("solved a non-finite profile")
+print("ok")
+"""
+
+
+def test_hand_built_non_finite_profile_is_a_value_error():
+    src = os.path.dirname(os.path.dirname(wahba.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVE_NON_FINITE], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
 
 
 def test_profile_from_matrix_rejects_singular():
