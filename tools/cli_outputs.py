@@ -21,8 +21,7 @@ The commands:
   interval holds partial steps and up to 600 integrator steps); one each
   like the benchmark's ``filter_free`` and ``filter_potential``; and, in
   both potentials with both noises, a schedule whose gaps are 1 to 4
-  integrator steps or span more than one 1,024-step block of a free body's
-  exponentials (see ``dynamics._advance``).
+  integrator steps or more than 1,024 of them (see ``dynamics._advance``).
   On each: ``propagate``, ``filter`` in both modes, and ``montecarlo`` in
   both modes with ``--trials`` 1, 3 and 7;
 * the criterion-11 campaign at sigma and sigma/2: ``filter`` and
