@@ -11,8 +11,8 @@ Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
 4th-order Munthe-Kaas Runge-Kutta scheme. Every body, free or in a
 potential, is stepped on its attitude's nine components as plain floats (or
-(B,) arrays for B bodies), and each step's update C exp(hat(th)) is one
-function of them.
+(B,) arrays for B bodies) by one step loop, written out with no Python call
+per stage, and each step's update C exp(hat(th)) is one function of them.
 """
 
 from __future__ import annotations
@@ -171,54 +171,22 @@ def euler_rhs(
     """Time derivatives (Cdot, Omegadot) of the attitude state.
 
     Cdot = C Omega. Omegadot solves J(Omegadot) = [J(Omega), Omega] + moment,
-    evaluated by the same function the integrator steps. A non-finite result
-    can only come from a malformed potential gradient (NaN or inf).
+    with moment = G^T C - C^T G for the potential gradient G at C. In axis
+    coordinates J(X) = hat(K vee(X)) for the classical inertia K, and the
+    commutator is a cross product: K vee(Omegadot) = K w x w + vee(moment)
+    at w = vee(Omega), as the integrator's steps evaluate it. A non-finite
+    result can only come from a malformed gradient (NaN or inf).
     """
     C, Omega = state.C, state.Omega
-    w = _make_rhs(inertia, potential)(*so3.vee(Omega).tolist(), _components(C))
-    if not all(map(math.isfinite, w)):
+    P = _gradient(potential.gradient, C).T @ C
+    m = np.array([P[2, 1] - P[1, 2], P[0, 2] - P[2, 0], P[1, 0] - P[0, 1]])  # vee(P - P^T)
+    w = so3.vee(Omega)
+    w_dot = inertia.classical_inv @ (np.cross(inertia.classical @ w, w) + m)
+    if not np.isfinite(w_dot).all():
         raise PotentialGradientNotSkewCompatible(
-            f"non-finite angular acceleration {w!r} in the dynamics right-hand side"
+            f"non-finite angular acceleration {w_dot!r} in the dynamics right-hand side"
         )
-    return C @ Omega, so3.hat(w)
-
-
-def _make_rhs(inertia, potential):
-    # Angular acceleration vee(Omegadot) on plain floats: numpy call dispatch
-    # dominates the cost at 3-vector sizes. Only in a potential is the stage
-    # attitude C exp(hat(s)) formed, on the nine components c of C. The same
-    # code advances B bodies at once when the rate components and c are (B,)
-    # arrays.
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
-    g = None if potential.coeff is None else potential.coeff.ravel().tolist()
-    free = g is not None and not any(g)
-
-    def f(w0, w1, w2, c, s=None):
-        m0 = k00 * w0 + k01 * w1 + k02 * w2
-        m1 = k10 * w0 + k11 * w1 + k12 * w2
-        m2 = k20 * w0 + k21 * w1 + k22 * w2
-        c0 = m1 * w2 - m2 * w1
-        c1 = m2 * w0 - m0 * w2
-        c2 = m0 * w1 - m1 * w0
-        if not free:
-            if s is not None:
-                c = _rotate(c, s)
-            # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
-            g00, g01, g02, g10, g11, g12, g20, g21, g22 = (
-                g if g is not None else _gradient_components(potential.gradient, c)
-            )
-            x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-            c0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-            c1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-            c2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-        return (
-            i00 * c0 + i01 * c1 + i02 * c2,
-            i10 * c0 + i11 * c1 + i12 * c2,
-            i20 * c0 + i21 * c1 + i22 * c2,
-        )
-
-    return f
+    return C @ Omega, so3.hat(w_dot)
 
 
 def _gradient(gradient, C):
@@ -262,62 +230,6 @@ def _rotate(c, v):
     )
 
 
-def _make_step(inertia, potential):
-    # Munthe-Kaas RK4 step on plain floats: the increment th of C exp(th), new
-    # rate. c is C's components in a potential; a free body's step ignores it.
-    f = _make_rhs(inertia, potential)
-
-    def step(c, w, h):
-        w0, w1, w2 = w
-        hh = 0.5 * h
-        l1 = f(w0, w1, w2, c)
-        s0, s1, s2 = hh * w0, hh * w1, hh * w2
-        u0, u1, u2 = w0 + hh * l1[0], w1 + hh * l1[1], w2 + hh * l1[2]
-        a2 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l2 = f(u0, u1, u2, c, (s0, s1, s2))
-        s0, s1, s2 = hh * a2[0], hh * a2[1], hh * a2[2]
-        u0, u1, u2 = w0 + hh * l2[0], w1 + hh * l2[1], w2 + hh * l2[2]
-        a3 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l3 = f(u0, u1, u2, c, (s0, s1, s2))
-        s0, s1, s2 = h * a3[0], h * a3[1], h * a3[2]
-        u0, u1, u2 = w0 + h * l3[0], w1 + h * l3[1], w2 + h * l3[2]
-        a4 = _dexpinv_tuple(s0, s1, s2, u0, u1, u2)
-        l4 = f(u0, u1, u2, c, (s0, s1, s2))
-        sixth = h / 6.0
-        th = (
-            sixth * (w0 + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-            sixth * (w1 + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-            sixth * (w2 + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
-        )
-        wn = (
-            w0 + sixth * (l1[0] + 2.0 * l2[0] + 2.0 * l3[0] + l4[0]),
-            w1 + sixth * (l1[1] + 2.0 * l2[1] + 2.0 * l3[1] + l4[1]),
-            w2 + sixth * (l1[2] + 2.0 * l2[2] + 2.0 * l3[2] + l4[2]),
-        )
-        return th, wn
-
-    return step
-
-
-def _dexpinv_tuple(s0, s1, s2, w0, w1, w2):
-    # Algebra-coordinate derivative for C = C0 exp(hat(s)) under the
-    # body-frame kinematics Cdot = C hat(w):
-    # s' = w + 1/2 s x w + 1/12 s x (s x w), truncated at the order an RK4
-    # scheme requires. The plus sign on the first commutator matters; the
-    # minus variant drops the scheme to 3rd order.
-    c0 = s1 * w2 - s2 * w1
-    c1 = s2 * w0 - s0 * w2
-    c2 = s0 * w1 - s1 * w0
-    d0 = s1 * c2 - s2 * c1
-    d1 = s2 * c0 - s0 * c2
-    d2 = s0 * c1 - s1 * c0
-    return (
-        w0 + 0.5 * c0 + d0 / 12.0,
-        w1 + 0.5 * c1 + d1 / 12.0,
-        w2 + 0.5 * c2 + d2 / 12.0,
-    )
-
-
 def propagate(
     state: BodyState,
     inertia: InertiaSpec,
@@ -339,33 +251,124 @@ def propagate(
     if span == 0.0:
         return state
 
-    step = _make_step(inertia, potential)
-    C, w = _advance(step, state.C, so3.vee(state.Omega).tolist(), span, cfg.step)
+    C, w = _advance(inertia, potential, state.C, so3.vee(state.Omega).tolist(), span, cfg.step)
     return BodyState(t=t_end, C=C, Omega=so3.hat(w))
 
 
-def _advance(step, C, w, span, h):
-    # Steps (C, w) over span >= 0: full steps of h, then a partial step. The
-    # rate w is three floats, or three (B,) arrays for B bodies at once,
-    # whose fastest one the pi/4 guard checks. C moves every step, on its
-    # components; its matrix is formed once, at the end.
+def _advance(inertia, potential, C, w, span, h):
+    # Steps (C, w) over span >= 0 with the Munthe-Kaas RK4 scheme: full steps
+    # of h, then a partial step. The rate w is three floats, or three (B,)
+    # arrays for B bodies at once, whose fastest one the pi/4 guard checks.
+    # C moves on its components; its matrix is formed once, at the end. Each
+    # step is written out, since at 3-vector sizes calls cost as much as the
+    # arithmetic. A stage has rate u, attitude C exp(hat(s)) (formed only in a
+    # potential), a = dexpinv(s, u), and l = vee(Omegadot): K l = K u x u + moment.
+    # q and t sum the l and the a with weights 1, 2, 2, 1, left to right.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
+    g = None if potential.coeff is None else potential.coeff.ravel().tolist()
+    free, grad = g is not None and not any(g), potential.gradient
     c = _components(C)
+    w0, w1, w2 = w
     for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
-        r2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+        r2 = w0 * w0 + w1 * w1 + w2 * w2
         wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
         if wmag * dt > MAX_STEP_ROTATION:
-            raise StepTooLarge(
-                f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard"
-            )
-        th, w = step(c, w, dt)
-        c = _rotate(c, th)
-    return so3._matrix(c), w
+            raise StepTooLarge(f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
+        hh = 0.5 * dt
+        # Stage 1: u = a = w at C itself.
+        m0 = k00 * w0 + k01 * w1 + k02 * w2
+        m1 = k10 * w0 + k11 * w1 + k12 * w2
+        m2 = k20 * w0 + k21 * w1 + k22 * w2
+        d0, d1, d2 = m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0
+        if not free:
+            # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
+            x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, c)
+            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+        q0 = i00 * d0 + i01 * d1 + i02 * d2
+        q1 = i10 * d0 + i11 * d1 + i12 * d2
+        q2 = i20 * d0 + i21 * d1 + i22 * d2
+        # Stage 2: s = h/2 w. dexpinv(s, u) = u + 1/2 s x u + 1/12 s x (s x u),
+        # truncated at the order RK4 needs. The plus sign on the first
+        # commutator matters: the minus variant drops the scheme to 2nd order.
+        s0, s1, s2 = hh * w0, hh * w1, hh * w2
+        u0, u1, u2 = w0 + hh * q0, w1 + hh * q1, w2 + hh * q2
+        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+        t0, t1, t2 = w0 + 2.0 * a0, w1 + 2.0 * a1, w2 + 2.0 * a2
+        m0 = k00 * u0 + k01 * u1 + k02 * u2
+        m1 = k10 * u0 + k11 * u1 + k12 * u2
+        m2 = k20 * u0 + k21 * u1 + k22 * u2
+        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+        if not free:
+            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+        l0 = i00 * d0 + i01 * d1 + i02 * d2
+        l1 = i10 * d0 + i11 * d1 + i12 * d2
+        l2 = i20 * d0 + i21 * d1 + i22 * d2
+        q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
+        # Stage 3: s = h/2 a.
+        s0, s1, s2 = hh * a0, hh * a1, hh * a2
+        u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
+        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+        t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
+        m0 = k00 * u0 + k01 * u1 + k02 * u2
+        m1 = k10 * u0 + k11 * u1 + k12 * u2
+        m2 = k20 * u0 + k21 * u1 + k22 * u2
+        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+        if not free:
+            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+        l0 = i00 * d0 + i01 * d1 + i02 * d2
+        l1 = i10 * d0 + i11 * d1 + i12 * d2
+        l2 = i20 * d0 + i21 * d1 + i22 * d2
+        q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
+        # Stage 4: s = h a.
+        s0, s1, s2 = dt * a0, dt * a1, dt * a2
+        u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
+        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+        t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
+        m0 = k00 * u0 + k01 * u1 + k02 * u2
+        m1 = k10 * u0 + k11 * u1 + k12 * u2
+        m2 = k20 * u0 + k21 * u1 + k22 * u2
+        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+        if not free:
+            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+        q0 += i00 * d0 + i01 * d1 + i02 * d2
+        q1 += i10 * d0 + i11 * d1 + i12 * d2
+        q2 += i20 * d0 + i21 * d1 + i22 * d2
+        # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
+        sixth = dt / 6.0
+        c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
+        w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
+    return so3._matrix(c), (w0, w1, w2)
 
 
 @dataclass(frozen=True)

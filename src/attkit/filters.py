@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3, wahba
-from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance, _make_step
+from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance
 from .errors import InconsistentUpdate, MissingGyro, ShapeMismatch
 
 # Allowed symmetric residual in the rate-matching update equation.
@@ -244,7 +244,6 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
     estimates or batches advance B trials at once, each check per trial."""
     if mode not in ("no_gyro", "with_gyro"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    step = _make_step(inertia, potential)
     est = None
     for batch in batches:
         if est is None:
@@ -252,8 +251,8 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
         else:
             w = so3.vee(est.Omega_plus)
             C_minus, w = _advance(
-                step, so3.check_rotation(est.C_plus), w.tolist() if w.ndim == 1 else tuple(w),
-                batch.t - est.t, cfg.integrator.step,
+                inertia, potential, so3.check_rotation(est.C_plus),
+                w.tolist() if w.ndim == 1 else tuple(w), batch.t - est.t, cfg.integrator.step,
             )
             # The checks a propagated body state gets.
             C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))

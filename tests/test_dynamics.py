@@ -1,4 +1,6 @@
+import collections
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,11 +169,11 @@ def test_wrong_shape_gradient_raises_shape_mismatch(shape):
         euler_rhs(state, spec, bad)
     with pytest.raises(ShapeMismatch, match=named):
         propagate(state, spec, bad, 0.01)
-    # The stacked stage: four bodies at once, each at its own stage attitude.
-    rhs = dynamics._make_rhs(spec, bad)
+    # The stacked step: four bodies at once, the gradient taken at each
+    # body's attitude.
     w = np.full(4, 0.1)
     with pytest.raises(ShapeMismatch, match=named):
-        rhs(w, w, w, dynamics._components(np.stack([np.eye(3)] * 4)), (w, w, w))
+        dynamics._advance(spec, bad, np.stack([np.eye(3)] * 4), (w, w, w), 0.01, 1e-3)
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
@@ -272,6 +274,45 @@ def test_propagate_potential_step_converges_to_fine_reference():
     assert np.abs(so3.vee(coarse.Omega - ref.Omega)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("body", ["free", "linear potential"])
+def test_propagate_attitude_error_is_4th_order(body):
+    # Each halving of h cuts a 4th-order scheme's error by 16. A wrong sign on
+    # the first dexpinv commutator leaves it 2nd order (a factor of 4), and
+    # the energy drift cannot see that slip: dexpinv never touches the rates.
+    rng = np.random.default_rng(38)
+    A = 0.5 * rng.normal(size=(3, 3))
+    pot = zero_potential() if body == "free" else linear_potential(A)
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    state = BodyState(0.0, so3.random_rotation(rng), so3.hat([0.9, -0.4, 0.6]))
+    ref = propagate(state, spec, pot, 1.0, IntegratorConfig(step=1e-4)).C
+    errors = [
+        so3.principal_angle(propagate(state, spec, pot, 1.0, IntegratorConfig(step=h)).C, ref)
+        for h in (2e-2, 1e-2, 5e-3)
+    ]
+    assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2]
+
+
+def test_free_body_step_makes_three_python_calls():
+    # One step is written out in one loop: its only Python calls are the
+    # attitude update _rotate and the exponential it forms, _exp_components
+    # and _rodrigues. A call per stage would show as 7 or more per step.
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    start = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
+    package = dynamics.__file__.rsplit("dynamics.py", 1)[0]
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        propagate(start, spec, zero_potential(), 1.0, IntegratorConfig(step=1e-3))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 3 * 1000 + 30, collections.Counter(calls).most_common(5)
+
+
 def test_propagate_step_guard():
     state = BodyState(0.0, np.eye(3), so3.hat([10.0, 0.0, 0.0]))
     with pytest.raises(StepTooLarge):
@@ -312,14 +353,15 @@ def test_free_body_propagation_memory_is_bounded():
     # would take about 2.5 MB, and 256 steps of 50 trials about 4.9 MB.
     spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
     start = BodyState(0.0, np.eye(3), so3.hat([0.8, -0.5, 1.0]))
-    step = dynamics._make_step(spec, zero_potential())
     rates = tuple(np.random.default_rng(0).normal(size=(3, 50)))
     tracemalloc.start()
     try:
         end = propagate(start, spec, zero_potential(), 5.0, IntegratorConfig(step=1e-3))
         _, one = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        C, _ = dynamics._advance(step, np.broadcast_to(np.eye(3), (50, 3, 3)), rates, 0.3, 1e-3)
+        C, _ = dynamics._advance(
+            spec, zero_potential(), np.broadcast_to(np.eye(3), (50, 3, 3)), rates, 0.3, 1e-3
+        )
         _, stacked = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -158,14 +158,13 @@ def _problems():
     flat[2] = 0.0  # every vector in one plane: rank 2
     L = refs @ body.T
     spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
-    step = dynamics._make_step(spec, zero_potential())
     W = so3.hat([0.3, -0.1, 0.2])
     pi = np.diag([1.0, 2.0, 3.0])
 
     def advance(w):
         # w holds one rate vector, or a stack of them as (B, 3)
         Cs = np.broadcast_to(C, np.shape(w)[:-1] + (3, 3))
-        return dynamics._advance(step, Cs, tuple(np.asarray(w).T), 0.01, 1e-3)
+        return dynamics._advance(spec, zero_potential(), Cs, tuple(np.asarray(w).T), 0.01, 1e-3)
 
     # (check, good problem, bad problem, exception of the one-problem check)
     return {

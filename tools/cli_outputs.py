@@ -20,8 +20,9 @@ The commands:
   (a regular one, and irregular times whose gaps reach 0.6 s, so a filter
   interval holds partial steps and up to 600 integrator steps); one each
   like the benchmark's ``filter_free`` and ``filter_potential``; and, in
-  both potentials with both noises, a schedule whose gaps are 1 to 4
-  integrator steps or more than 1,024 of them (see ``dynamics._advance``).
+  both potentials with both noises, a schedule that mixes gaps of 1 to 4
+  integrator steps, where each interval's fixed cost outweighs its steps,
+  with gaps of 1,100 to 2,200 steps, long runs of the one step loop.
   On each: ``propagate``, ``filter`` in both modes, and ``montecarlo`` in
   both modes with ``--trials`` 1, 3 and 7;
 * the criterion-11 campaign at sigma and sigma/2: ``filter`` and
