@@ -154,12 +154,14 @@ def _as_rows3(x, name: str) -> np.ndarray:
 
 
 def _as_rotation(x, name: str) -> np.ndarray:
-    # Reference attitudes in configs are often rounded; project onto SO(3),
-    # by the Procrustes solve of profile M, before comparing against them.
+    # Reference attitudes in configs are often rounded: project one with
+    # det M > 0 onto SO(3), by the polar factor of profile M.
     M = _as_mat3(x, name)
-    if np.abs(M.T @ M - np.eye(3)).max() > 1e-2:
-        raise ConfigError(f"{name}: not close to a rotation matrix")
-    return wahba.solve_attitude(wahba.profile_from_matrix(M), allow_reflection=True)[0]
+    if np.abs(M.T @ M - np.eye(3)).max() <= 1e-2:
+        profile = wahba.profile_from_matrix(M)
+        if profile.det > 0.0:
+            return wahba.solve_attitude(profile)[0]
+    raise ConfigError(f"{name}: not close to a rotation matrix")
 
 
 def _as_omega(x, name: str) -> np.ndarray:
@@ -251,11 +253,11 @@ def _parse_integrator(obj) -> IntegratorConfig:
         return IntegratorConfig()
     if not isinstance(obj, dict):
         raise ConfigError("integrator: expected an object")
+    scheme = obj.get("scheme", "rkmk4")
+    if scheme != "rkmk4":
+        raise ConfigError(f"integrator: unknown integrator scheme {scheme!r}")
     with _section("integrator"):
-        return IntegratorConfig(
-            step=_number(obj.get("step", 1e-3), "integrator.step"),
-            scheme=obj.get("scheme", "rkmk4"),
-        )
+        return IntegratorConfig(step=_number(obj.get("step", 1e-3), "integrator.step"))
 
 
 def _parse_filter(obj, integrator: IntegratorConfig):

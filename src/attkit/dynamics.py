@@ -134,13 +134,10 @@ class IntegratorConfig:
     """Fixed-step integrator settings."""
 
     step: float = 1e-3
-    scheme: str = "rkmk4"
 
     def __post_init__(self):
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"integrator step must be positive and finite, got {self.step!r}")
-        if self.scheme != "rkmk4":
-            raise ValueError(f"unknown integrator scheme {self.scheme!r}")
 
 
 def j_apply(inertia, Omega) -> np.ndarray:

@@ -36,8 +36,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_vec < 0.0 or self.sigma_gyro < 0.0:
-            raise ValueError("noise standard deviations must be non-negative")
+        if not (0.0 <= self.sigma_vec < math.inf and 0.0 <= self.sigma_gyro < math.inf):
+            raise ValueError("noise standard deviations must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,11 +71,28 @@ def _exp_vec(w) -> np.ndarray:
 
 
 def _exp_components(x, y, z):
-    # exp(hat(w)) as its nine entries, row by row: the Rodrigues formula on
-    # plain floats, or on equally shaped arrays for a stack, elementwise, so
-    # a stack's entries equal one rotation's bit for bit.
+    # exp(hat(w)) = I + a hat(w) + b hat(w)^2 as its nine entries, row by
+    # row, with a = sin(t)/t and b = (1 - cos(t))/t^2 at t^2 = |w|^2: on
+    # plain floats, or on equally shaped arrays for a stack, elementwise. A
+    # series branch below t = 1e-6 avoids the 0/0. math's sqrt, sin and cos
+    # round as numpy's do, so a stack's entries equal one rotation's bit for
+    # bit.
     xx, yy, zz = x * x, y * y, z * z
-    a, b = _rodrigues(xx + yy + zz)
+    t2 = xx + yy + zz
+    if not getattr(t2, "ndim", 0):
+        t = math.sqrt(t2)
+        if t < 1e-6:
+            a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+        elif t == math.inf:  # math's sin and cos raise here, numpy's give NaN
+            a = b = math.nan
+        else:
+            a, b = math.sin(t) / t, (1.0 - math.cos(t)) / t2
+    else:
+        t = np.sqrt(t2)
+        small = t < 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+            b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2)
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
     ax, ay, az = a * x, a * y, a * z
     return (
@@ -90,28 +107,6 @@ def _matrix(c):
     # stack with nine (B,) arrays.
     m = np.array(c)
     return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
-
-
-def _rodrigues(t2):
-    # The coefficients a = sin(t)/t and b = (1 - cos(t))/t^2 of
-    # exp(hat(w)) = I + a hat(w) + b hat(w)^2, at t2 = t^2 = |w|^2: a float,
-    # or an array for a stack. A series branch below t = 1e-6 avoids the 0/0.
-    # math's sqrt, sin and cos round as numpy's do, so a stack's coefficients
-    # equal one rotation's bit for bit.
-    if not getattr(t2, "ndim", 0):
-        t = math.sqrt(t2)
-        if t < 1e-6:
-            return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
-        if t == math.inf:  # math's sin and cos raise here, numpy's give NaN
-            return math.nan, math.nan
-        return math.sin(t) / t, (1.0 - math.cos(t)) / t2
-    t = np.sqrt(t2)
-    small = t < 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (
-            np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t),
-            np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2),
-        )
 
 
 def solve_skew_sylvester(K, m) -> np.ndarray:

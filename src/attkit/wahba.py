@@ -5,9 +5,8 @@ counterparts in the body frame, and positive weights, the module builds the
 3x3 attitude profile matrix L and returns the unique rotation minimizing
 the weighted alignment cost, the orthogonal polar factor
 C = (L L^T)^-1/2 L, with the solver factor S = (L L^T)^-1/2: both from
-one SVD of L (see solve_attitude). On request, the same SVD solves a
-profile with negative determinant as the sign-corrected orthogonal
-Procrustes problem.
+one SVD of L (see solve_attitude). A profile whose determinant is not
+positive has no such rotation and raises ReflectionProfile.
 
 Body vector sets and profiles may be stacks of B problems, (B, 3, n) and
 (B, 3, 3), against one reference set; every check then applies to each
@@ -58,7 +57,8 @@ _OVERFLOW = "profile overflows: its matrix, determinant or norm is not finite"
 class AttitudeProfile:
     """3x3 attitude profile matrix L and its determinant (or a stack of them).
     From profile_from_matrix, det = d s1 s2 s3 and _svd = (U, s, V^T), L's
-    SVD, which solve_attitude reuses and never modifies; by hand, _svd is None."""
+    SVD, which solve_attitude reuses and never modifies. By hand, _svd is
+    None, and solve_attitude factors L with profile_from_matrix first."""
 
     matrix: np.ndarray
     det: float
@@ -164,9 +164,7 @@ def build_profile(refs, weights, body) -> AttitudeProfile:
     return profile_from_matrix(refs @ (weights[:, None] * body.mT))
 
 
-def solve_attitude(
-    profile: AttitudeProfile, allow_reflection: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
     """Solve for the rotation best aligning the profiled vector pairs.
 
     Returns (attitude, factor): the optimal rotation and the symmetric
@@ -174,28 +172,19 @@ def solve_attitude(
     The closed form C = (L L^T)^-1/2 L is evaluated from the profile's SVD
     L = U diag(s) V^T as C = U V^T and S = U diag(1/s) U^T: their errors
     grow as eps times the condition number s1/s3; forming L L^T squares it.
-
-    A profile with non-positive determinant raises ReflectionProfile unless
-    allow_reflection is set. Then the same SVD with d = -1 gives the
-    sign-corrected Procrustes rotation U diag(1, 1, d) V^T and the factor
-    S = U diag(1, 1, d) diag(1/s) U^T it implies.
+    A profile with non-positive determinant raises ReflectionProfile.
     """
+    if profile._svd is None:  # built by hand: factored and checked as any other
+        profile = profile_from_matrix(profile.matrix)
     det = so3._first_failure(profile.det > 0.0, profile.det)
-    if det is not None and not allow_reflection:
+    if det is not None:
         raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
-    if profile._svd is None and not np.isfinite(profile.matrix).all():
-        raise ValueError(_OVERFLOW)  # LAPACK's SVD does not return on inf
-    U, s, Vt = profile._svd or np.linalg.svd(profile.matrix)
+    U, s, Vt = profile._svd
     s1, _, s3 = s.tolist() if s.ndim == 1 else s.T  # stack axis last
     # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
     bad = so3._first_failure(s3 * s3 > SQRT_EIG_RTOL * (s1 * s1), s)
     if bad is not None:
         raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
-    if det is not None:  # d = -1 where det L < 0 (in a stack, +1 on the others)
-        d = np.where(profile.det > 0.0, 1.0, -1.0)[..., None]
-        Vt, s = Vt.copy(), s.copy()  # the profile's factors stay as they are
-        Vt[..., 2, :] *= d
-        s[..., 2:] *= d
     S = (U / s[..., None, :]) @ U.mT
     return U @ Vt, 0.5 * (S + S.mT)
 

@@ -127,6 +127,19 @@ def test_determine_overflowing_profile_exits_2_without_warnings(tmp_path, capsys
         assert [w.message for w in caught] == []
 
 
+@pytest.mark.parametrize("truth", [-np.eye(3), np.diag([1.0, 1.0, -1.0])], ids=["minus-I", "mirror"])
+def test_determine_reflection_truth_exits_2(tmp_path, capsys, truth):
+    # A reflection is not an attitude: no angle to it is reported.
+    cfg = {
+        "schema": 1,
+        "refs": _ref_rows(rc.REFS),
+        "body": _ref_rows(rc.BODY_MEAS),
+        "truth": truth.ravel().tolist(),
+    }
+    assert cli.main(["determine", "--config", _write(tmp_path, "t.json", cfg)]) == EXIT_CONFIG
+    assert "truth: not close to a rotation matrix" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["determine", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     bad_schema = _write(tmp_path, "bad.json", {"schema": 2, "refs": [], "body": []})
@@ -344,6 +357,28 @@ def test_empty_schedule_exits_2(tmp_path, capsys, command, schedule):
     path = _write(tmp_path, "es.json", _run_file(schedule=schedule))
     assert cli.main(_argv(command, path)) == EXIT_CONFIG
     assert "schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+def test_reflection_initial_attitude_exits_2(tmp_path, capsys, command):
+    # No rotation is picked for a reflection: the run does not start.
+    cfg = _run_file()
+    C0 = np.reshape(cfg["scenario"]["init"]["attitude"], (3, 3))
+    cfg["scenario"]["init"]["attitude"] = (np.diag([1.0, 1.0, -1.0]) @ C0).ravel().tolist()
+    assert cli.main(_argv(command, _write(tmp_path, "ra.json", cfg))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scenario.init.attitude: not close to a rotation matrix" in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+def test_integrator_scheme_other_than_rkmk4_exits_2(tmp_path, capsys, command):
+    cfg = _run_file()
+    cfg["integrator"]["scheme"] = "rkmk4"
+    assert cli.main(_argv(command, _write(tmp_path, "rk.json", cfg))) == EXIT_OK
+    capsys.readouterr()
+    cfg["integrator"]["scheme"] = "euler"
+    assert cli.main(_argv(command, _write(tmp_path, "eu.json", cfg))) == EXIT_CONFIG
+    assert "unknown integrator scheme 'euler'" in capsys.readouterr().err
 
 
 def test_deeply_nested_config_exits_2(tmp_path, capsys):

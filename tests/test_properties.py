@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from attkit import dynamics, so3, wahba  # noqa: E402
-from attkit.errors import AttKitError, ShapeMismatch, SingularProfile  # noqa: E402
+from attkit.errors import AttKitError, ReflectionProfile, ShapeMismatch, SingularProfile  # noqa: E402
 from attkit.dynamics import (  # noqa: E402
     BodyState,
     InertiaSpec,
@@ -342,9 +342,9 @@ def test_declared_and_undeclared_linear_potentials_agree(eigs, q, r, w, coeff):
 
 
 def _nearest_rotation(M):
-    # The one projection onto SO(3): the Procrustes solve of profile M,
-    # which allows det M < 0.
-    return wahba.solve_attitude(wahba.profile_from_matrix(M), allow_reflection=True)[0]
+    # The one projection onto SO(3): the polar factor of profile M, which
+    # needs det M > 0.
+    return wahba.solve_attitude(wahba.profile_from_matrix(M))[0]
 
 
 @SETTINGS
@@ -352,6 +352,16 @@ def _nearest_rotation(M):
 def test_nearest_rotation_lands_in_so3(entries):
     M = np.reshape(entries, (3, 3))
     s = np.linalg.svd(M, compute_uv=False)
+    try:
+        det = wahba.profile_from_matrix(M).det
+    except SingularProfile:  # below the DET_RTOL floor, so below SQRT_EIG_RTOL's
+        assert not s[2] > 1e-6 * s[0]
+        return
+    # A reflection is refused before the SQRT_EIG_RTOL floor is checked.
+    if det < 0.0:
+        with pytest.raises(ReflectionProfile):
+            _nearest_rotation(M)
+        return
     # s3^2 at the SQRT_EIG_RTOL floor: no unique nearest rotation
     if not s[2] > 1e-6 * s[0]:
         with pytest.raises(SingularProfile):

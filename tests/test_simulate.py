@@ -173,6 +173,15 @@ def test_noise_spec_validation():
         NoiseSpec(sigma_vec=-0.1)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["sigma_vec", "sigma_gyro"])
+def test_noise_spec_rejects_non_finite_sigma(key, sigma):
+    # A NaN sigma_vec would give noise-free vectors (nan > 0.0 is False),
+    # and an infinite sigma_gyro infinite gyro readings.
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec(**{key: sigma})
+
+
 def test_scenario_spec_validation():
     refs = clustered_references(5, 0.3, rng=make_rng(28))
     init = BodyState(0.0, np.eye(3), np.zeros((3, 3)))

@@ -201,15 +201,15 @@ def test_one_bad_trial_raises_like_the_one_problem_check(case):
             check(stack)
 
 
-def test_stacked_reflection_fallback_solves_each_problem():
+def test_stacked_reflection_profile_raises_with_its_determinant():
     rng = make_rng(8)
     mats = [so3.random_rotation(rng) @ np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(3)]
-    mats.append(np.diag([1.0, 1.0, -1.0]) @ mats[0])
-    C, S = wahba.solve_attitude(wahba.profile_from_matrix(np.array(mats)), allow_reflection=True)
-    for k, M in enumerate(mats):
-        C1, S1 = wahba.solve_attitude(wahba.profile_from_matrix(M), allow_reflection=True)
-        assert np.abs(C[k] - C1).max() <= 1e-12
-        assert np.abs(S[k] - S1).max() <= 1e-12
+    mats.insert(2, np.diag([1.0, 1.0, -1.0]) @ mats[0])
+    p = wahba.profile_from_matrix(np.array(mats))
+    assert (p.det[[0, 1, 3]] > 0.0).all() and p.det[2] < 0.0
+    with pytest.raises(ReflectionProfile) as exc:
+        wahba.solve_attitude(p)
+    assert str(exc.value) == f"profile determinant {p.det[2]:.3e} is not positive"
 
 
 def test_stacked_operations_equal_one_problem_results():

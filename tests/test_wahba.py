@@ -171,18 +171,6 @@ def test_solve_rejects_reflection_profile():
         wahba.solve_attitude(wahba.profile_from_matrix(np.diag([1.0, 1.0, -1.0])))
 
 
-def test_solve_reflection_fallback_is_sign_corrected_procrustes():
-    rng = np.random.default_rng(25)
-    L = np.diag([2.0, 1.0, -0.5]) @ so3.random_rotation(rng)
-    p = wahba.profile_from_matrix(L)
-    C, S = wahba.solve_attitude(p, allow_reflection=True)
-    so3.check_rotation(C, tol=1e-10)
-    U, _, Vt = np.linalg.svd(L)
-    oracle = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    assert np.abs(C - oracle).max() <= 1e-10
-    assert np.abs(C - S @ L).max() <= 1e-10
-
-
 def _weights_reference(w, n=None):
     # check_weights as it decided before the one-pass min/max test
     w = np.asarray(w, dtype=float)
@@ -269,13 +257,12 @@ for bad in (np.inf, -np.inf, np.nan):
     cases.append((np.diag([1.0, bad, 1.0]), 1.0))
     cases.append((np.stack([np.eye(3), np.full((3, 3), bad)]), np.ones(2)))
 for matrix, det in cases:
-    for allow_reflection in (False, True):
-        try:
-            wahba.solve_attitude(wahba.AttitudeProfile(matrix, det), allow_reflection)
-        except ValueError as exc:  # LinAlgError is one too: check the message
-            assert str(exc) == wahba._OVERFLOW, repr(exc)
-        else:
-            raise AssertionError("solved a non-finite profile")
+    try:
+        wahba.solve_attitude(wahba.AttitudeProfile(matrix, det))
+    except ValueError as exc:  # LinAlgError is one too: check the message
+        assert str(exc) == wahba._OVERFLOW, repr(exc)
+    else:
+        raise AssertionError("solved a non-finite profile")
 print("ok")
 """
 

@@ -56,15 +56,15 @@ def _outcome(f, *args):
 
 
 def _fresh_svd_solve(matrix, det):
-    # solve_attitude's arithmetic with allow_reflection, on a fresh SVD.
+    # solve_attitude's arithmetic, on a fresh SVD.
+    bad = so3._first_failure(det > 0.0, det)
+    if bad is not None:
+        raise ReflectionProfile(f"profile determinant {bad:.3e} is not positive")
     U, s, Vt = np.linalg.svd(matrix)
     st_ = s.T
     bad = so3._first_failure(st_[2] * st_[2] > wahba.SQRT_EIG_RTOL * (st_[0] * st_[0]), s)
     if bad is not None:
         raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
-    d = np.where(det > 0.0, 1.0, -1.0)[..., None]
-    Vt[..., 2, :] *= d
-    s[..., 2:] *= d
     S = (U / s[..., None, :]) @ U.mT
     return U @ Vt, 0.5 * (S + S.mT)
 
@@ -93,20 +93,17 @@ def test_stored_factors_solve_as_a_fresh_svd_and_stay_unchanged(M):
     well = np.linalg.cond(M) < 100.0
     assert (abs(p.det - lu)[well] <= 1e-13 * abs(lu)[well]).all()
 
-    first = _outcome(wahba.solve_attitude, p, True)
+    first = _outcome(wahba.solve_attitude, p)
     assert _same(first, _outcome(_fresh_svd_solve, M, p.det))
-    # Solved again, without allow_reflection: the same, unless det < 0.
-    again = _outcome(wahba.solve_attitude, p, False)
-    if np.all(p.det > 0.0):
-        assert _same(first, again)
-    else:
-        assert again[0] is ReflectionProfile
-        assert _same(first, _outcome(wahba.solve_attitude, p, True))
+    # A profile with det < 0 is refused before the SQRT_EIG_RTOL floor.
+    assert (first[0] is ReflectionProfile) == (not np.all(p.det > 0.0))
+    # Solved again: the same.
+    assert _same(first, _outcome(wahba.solve_attitude, p))
     assert all(np.array_equal(f, g) for f, g in zip(factors, p._svd))
-    # A profile built by hand has no factors and takes the SVD itself.
+    # A profile built by hand has no factors and is factored as M is.
     by_hand = wahba.AttitudeProfile(M, p.det)
     assert by_hand._svd is None
-    assert _same(first, _outcome(wahba.solve_attitude, by_hand, True))
+    assert _same(first, _outcome(wahba.solve_attitude, by_hand))
 
 
 @st.composite
@@ -125,11 +122,11 @@ def _verdict(M):
     try:
         p = wahba.profile_from_matrix(M)
     except SingularProfile:
-        return "profile_from_matrix", None
+        return "profile_from_matrix", SingularProfile
     try:
-        return p, wahba.solve_attitude(p, allow_reflection=True)
-    except SingularProfile:
-        return "solve_attitude", None
+        return p, wahba.solve_attitude(p)
+    except (SingularProfile, ReflectionProfile) as exc:
+        return "solve_attitude", type(exc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -141,7 +138,7 @@ def test_solve_is_exactly_equivariant_under_powers_of_two(drawn):
     M, k = drawn
     p1, r1 = _verdict(M)
     p2, r2 = _verdict(np.ldexp(M, k))
-    if r1 is None or r2 is None:
+    if isinstance(p1, str) or isinstance(p2, str):
         assert (p1, r1) == (p2, r2)
         return
     assert np.array_equal(p2.det, np.ldexp(p1.det, 3 * k))

@@ -2,15 +2,14 @@
 
 The SVD oracles elsewhere in the suite call the same LAPACK routine as the
 solver; this one shares nothing with it. mpmath computes the SVD of the
-rounded profile L at 50 digits, from which C* = U diag(1, 1, d) V^T and
-S* = U diag(1/s1, 1/s2, d/s3) U^T with d = sign det L. A backward-stable
-solve is within eps (32 + 8 kappa) of them, kappa = s1/s3; forming L L^T,
-as a QR plus eigh route does, lets the error grow as eps * kappa^2. The
+rounded profile L at 50 digits, from which C* = U V^T and
+S* = U diag(1/s1, 1/s2, 1/s3) U^T. A backward-stable solve is within
+eps (32 + 8 kappa) of them, kappa = s1/s3; forming L L^T, as a QR plus
+eigh route does, lets the error grow as eps * kappa^2. The
 constant term covers LAPACK's own backward error on a 3x3 SVD, which
 reaches about 25 eps * s1 (up to 21.8 eps kappa at kappa near 1 over
-200,000 random profiles; above kappa = 10, at most 3.3 eps kappa). For a
-reflection (d = -1), C* also turns with the gap s2 - s3, and is not
-unique when it closes, so there kappa is s1 / min(s3, s2 - s3).
+200,000 random profiles; above kappa = 10, at most 3.3 eps kappa). A
+profile with det L < 0 has no polar factor in SO(3): the solver refuses it.
 """
 
 import math
@@ -23,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from attkit import so3, wahba  # noqa: E402
+from attkit.errors import ReflectionProfile  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -36,18 +36,16 @@ def _polar_50_digits(L):
     with mp.workdps(50):
         M = mp.matrix(L.tolist())  # every double converts exactly
         U, s, Vt = mp.svd_r(M)  # s descending
-        d = 1 if mp.det(M) > 0 else -1
-        C = U * mp.diag([1, 1, d]) * Vt
-        S = U * mp.diag([1 / s[0], 1 / s[1], d / s[2]]) * U.T
-        gap = s[2] if d > 0 else min(s[2], s[1] - s[2])
-        kappa = float(s[0] / gap) if gap else math.inf
+        C = U * Vt
+        S = U * mp.diag([1 / s[0], 1 / s[1], 1 / s[2]]) * U.T
+        kappa = float(s[0] / s[2]) if s[2] else math.inf
     return np.array(C.tolist(), dtype=float), np.array(S.tolist(), dtype=float), kappa
 
 
-def _errors(L, allow_reflection=False):
+def _errors(L):
     """Errors of C and of S (relative to S*'s largest entry) over their
     bound."""
-    C, S = wahba.solve_attitude(wahba.profile_from_matrix(L), allow_reflection)
+    C, S = wahba.solve_attitude(wahba.profile_from_matrix(L))
     so3.check_rotation(C, tol=1e-14)
     C_ref, S_ref, kappa = _polar_50_digits(L)
     bound = _bound(kappa)
@@ -94,8 +92,12 @@ rotation_vector = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
 @given(rotation_vector, rotation_vector, st.floats(0.0, 5.9), st.floats(0.0, 5.9), st.booleans())
 def test_conditioned_solves_match_the_50_digit_polar_factor(r1, r2, a, b, reflection):
     # L = R1 diag(1, s2, +-s3) R2^T with kappa up to 10**5.9, just above the
-    # SQRT_EIG_RTOL floor; a reflection profile is solved with allow_reflection.
+    # SQRT_EIG_RTOL floor; a reflection profile has no polar factor in SO(3).
     s3 = 10.0 ** -max(a, b) * (-1.0 if reflection else 1.0)
     L = so3.exp_so3(so3.hat(r1)) @ np.diag([1.0, 10.0 ** -min(a, b), s3]) @ so3.exp_so3(so3.hat(r2)).T
-    err_C, err_S = _errors(L, allow_reflection=reflection)
+    if reflection:
+        with pytest.raises(ReflectionProfile):
+            wahba.solve_attitude(wahba.profile_from_matrix(L))
+        return
+    err_C, err_S = _errors(L)
     assert err_C <= 1.0 and err_S <= 1.0

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 255 attkit CLI commands.
+"""Write the outputs of a fixed set of 261 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -32,7 +32,11 @@ The commands:
   numbers of the commands above do not depend on them;
 * three run files that fail (see ``_failing_runs``): ``filter`` and
   ``montecarlo`` with ``--trials`` 1 and 3 on each, in both modes. They
-  come after the determine problems, for the same reason.
+  come after the determine problems, for the same reason;
+* a reflection as the attitude (see ``_improper_attitudes``): a run file
+  with one as ``init.attitude``, for ``propagate``, and for ``filter`` and
+  ``montecarlo --trials 3`` in both modes; and a determine problem with
+  one as ``truth``. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -176,6 +180,16 @@ def _failing_runs(rng):
     return {"fail_gyro_guard": gyro, "fail_truth_guard": spin, "fail_gyro_overflow": overflow}
 
 
+def _improper_attitudes(rng):
+    """A run file whose init.attitude, and a determine problem whose truth,
+    is a rotation times diag(1, 1, -1): a reflection, not an attitude."""
+    run = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular")
+    determine = _determine_file(rng)
+    for cfg, key in ((run["scenario"]["init"], "attitude"), (determine, "truth")):
+        cfg[key] = (np.reshape(cfg[key], (3, 3)) @ np.diag([1.0, 1.0, -1.0])).ravel().tolist()
+    return {"improper_init": run, "determine_improper_truth": determine}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -209,6 +223,8 @@ def commands(inputs):
     files.update(branches)
     failing = _failing_runs(np.random.default_rng(20261021))
     files.update(failing)
+    improper = _improper_attitudes(np.random.default_rng(20261022))
+    files.update(improper)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -241,6 +257,14 @@ def commands(inputs):
             for trials in (1, 3):
                 out.append((f"montecarlo_{name}_{mode}_{trials}",
                             ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
+    # After the failing runs, for the same reason
+    out.append(("propagate_improper_init", ["propagate", *cfg("improper_init")]))
+    for mode in MODES:
+        out.append((f"filter_improper_init_{mode}", ["filter", *cfg("improper_init"), "--mode", mode]))
+        out.append((f"montecarlo_improper_init_{mode}_3",
+                    ["montecarlo", *cfg("improper_init"), "--mode", mode, "--trials", "3"]))
+    out.append(("determine_improper_truth",
+                ["determine", *cfg("determine_improper_truth"), "--output", "determine_improper_truth.json"]))
     return out
 
 
