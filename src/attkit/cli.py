@@ -52,15 +52,7 @@ from .errors import (
     SingularProfile,
 )
 from .filters import FilterConfig
-from .simulate import (
-    NoiseSpec,
-    ScenarioSpec,
-    _epochs,
-    filter_errors,
-    gen_truth,
-    make_rng,
-    montecarlo_summary,
-)
+from .simulate import NoiseSpec, ScenarioSpec, gen_truth, montecarlo_summary, run_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -269,7 +261,9 @@ def _parse_filter(obj, integrator: IntegratorConfig):
             _as_mat3(obj.get(key, 1.0), f"filter.{key}", allow_scalar=True)
             for key in ("delta", "pi", "gamma", "omega_weight")
         )
-        return FilterConfig(Delta=Delta, Pi=Pi, Gamma=Gamma, integrator=integrator), omega_weight
+        fcfg = FilterConfig(Delta=Delta, Pi=Pi, Gamma=Gamma, integrator=integrator)
+    with _section("filter.omega_weight"):
+        return fcfg, so3.check_spd(omega_weight)
 
 
 def _load_run(args, filtering: bool = True) -> SimpleNamespace:
@@ -290,6 +284,9 @@ def _load_run(args, filtering: bool = True) -> SimpleNamespace:
         run.fcfg, run.omega_weight = _parse_filter(cfg.get("filter"), run.integ)
         run.mode = args.mode.replace("-", "_")
         run.seed = run.scn.noise.seed if args.seed is None else args.seed
+        if run.seed < 0:
+            source = "scenario.noise.seed" if args.seed is None else "--seed"
+            raise ConfigError(f"{source}: expected a non-negative integer, got {run.seed}")
     return run
 
 
@@ -396,12 +393,9 @@ def cmd_propagate(args) -> int:
 
 def cmd_filter(args) -> int:
     run = _load_run(args)
-    epochs = _epochs(run.scn, run.fcfg, run.omega_weight, run.integ, run.mode, make_rng(run.seed))
-    out = [FILTER_CSV_HEADER]
-    # All epochs, then all rows: interleaving them is about 3 % slower over 400 epochs.
-    for st, b, est in list(epochs):
-        cost = wahba.alignment_cost(est.C_plus, b.refs, b.body, b.weights)
-        out.append(",".join(_fmt(v) for v in (st.t, *filter_errors([st], [est])[0], cost)))
+    metrics = run_metrics(run.scn, run.fcfg, run.omega_weight, run.integ, run.mode, 1, run.seed)
+    rows = np.column_stack([run.scn.schedule, metrics[0]]).tolist()
+    out = [FILTER_CSV_HEADER, *(",".join(_fmt(v) for v in row) for row in rows)]
     _emit("\n".join(out) + "\n", args.output)
     return EXIT_OK
 

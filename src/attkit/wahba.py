@@ -189,17 +189,19 @@ def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
     return U @ Vt, 0.5 * (S + S.mT)
 
 
-def alignment_cost(attitude, refs, body, weights) -> float:
-    """Weighted least-squares cost 0.5 * sum_i w_i |e_i - C b_i|^2."""
+def alignment_cost(attitude, refs, body, weights):
+    """Weighted least-squares cost 0.5 * sum_i w_i |e_i - C b_i|^2: a float
+    for one problem, an array of B costs for stacked attitudes or bodies."""
     refs = np.asarray(refs, dtype=float)
     body = np.asarray(body, dtype=float)
-    if refs.shape != body.shape or refs.shape[0] != 3:
+    if refs.shape != body.shape[-2:] or refs.ndim != 2 or refs.shape[0] != 3:
         raise ShapeMismatch(
             f"reference set {refs.shape} and body set {body.shape} differ"
         )
     weights = check_weights(weights, n=refs.shape[1])
     D = refs - np.asarray(attitude, dtype=float) @ body
-    return float(0.5 * np.sum(weights * np.einsum("ij,ij->j", D, D)))
+    cost = 0.5 * np.sum(weights * np.einsum("...ij,...ij->...j", D, D), axis=-1)
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def check_local_minimality(

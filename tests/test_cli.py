@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attkit import cli, reference_case as rc, so3, wahba
+from attkit import cli, reference_case as rc, simulate, so3, wahba
 from attkit.cli import (
     EXIT_CONFIG,
     EXIT_GOLDEN,
@@ -379,6 +379,39 @@ def test_integrator_scheme_other_than_rkmk4_exits_2(tmp_path, capsys, command):
     cfg["integrator"]["scheme"] = "euler"
     assert cli.main(_argv(command, _write(tmp_path, "eu.json", cfg))) == EXIT_CONFIG
     assert "unknown integrator scheme 'euler'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+def test_negative_seed_in_the_file_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = _run_file()
+    cfg["scenario"]["noise"]["seed"] = -1
+    path = _write(tmp_path, "ns.json", cfg)
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: scenario.noise.seed: expected a non-negative integer, got -1\n"
+    # propagate draws no noise
+    assert cli.main(["propagate", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, command):
+    path = _write(tmp_path, "sf.json", _run_file())
+    assert cli.main([*_argv(command, path), "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --seed: expected a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("mode", ["no-gyro", "with-gyro"])
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+def test_omega_weight_not_spd_exits_2_before_the_truth(tmp_path, capsys, monkeypatch, command,
+                                                       mode):
+    cfg = _run_file()
+    cfg["filter"] = {"omega_weight": 0}
+    path = _write(tmp_path, "ow.json", cfg)
+    monkeypatch.setattr(simulate, "gen_truth", lambda *a: pytest.fail("truth propagated"))
+    assert cli.main([*_argv(command, path), "--mode", mode]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter.omega_weight: smallest eigenvalue")
 
 
 def test_deeply_nested_config_exits_2(tmp_path, capsys):

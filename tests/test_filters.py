@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attkit import so3, wahba
-from attkit.dynamics import BodyState, InertiaSpec, IntegratorConfig, zero_potential
+from attkit.dynamics import BodyState, InertiaSpec, IntegratorConfig, propagate, zero_potential
 from attkit.errors import InconsistentUpdate, MissingGyro, NotSkew
 from attkit.filters import (
     FilterConfig,
@@ -323,6 +323,31 @@ def test_run_filter_deterministic():
     for ea, eb in zip(a, b):
         assert np.array_equal(ea.C_plus, eb.C_plus)
         assert np.array_equal(ea.Omega_plus, eb.Omega_plus)
+
+
+def test_run_filter_with_gyro_matches_a_loop_of_the_public_updates():
+    # Gamma weighs the propagated rate and omega_weight the measured one.
+    # They differ here, so swapping them at the call site moves every update.
+    rng = make_rng(41)
+    Gamma, omega_weight = _random_spd(rng), _random_spd(rng, 5.0, 20.0)
+    scn = _scenario(sigma_vec=0.003, sigma_gyro=0.02, seed=8, count=12)
+    integ = IntegratorConfig(step=5e-3)
+    cfg = FilterConfig(Delta=_random_spd(rng), Gamma=Gamma, integrator=integ)
+    _, batches = simulate_scenario(scn, cfg=integ, omega_weight=omega_weight)
+    ests = run_filter(None, batches, scn.inertia, scn.potential, cfg, mode="with_gyro")
+
+    est = initial_estimate(batches[0])
+    assert np.array_equal(ests[0].C_plus, est.C_plus)
+    assert np.array_equal(ests[0].Omega_plus, est.Omega_plus)
+    state = BodyState(est.t, est.C_plus, est.Omega_plus)
+    for batch, got in zip(batches[1:], ests[1:], strict=True):
+        prior = propagate(state, scn.inertia, scn.potential, batch.t, integ)
+        C_plus = update_attitude(prior.C, batch, cfg)
+        Omega_plus = update_omega_with_gyro(prior.Omega, batch.omega_meas, omega_weight, Gamma)
+        for a, b in ((got.C_minus, prior.C), (got.C_plus, C_plus),
+                     (got.Omega_minus, prior.Omega), (got.Omega_plus, Omega_plus)):
+            assert np.abs(a - b).max() <= 1e-14
+        state = BodyState(batch.t, C_plus, Omega_plus)
 
 
 def test_run_filter_requires_gyro_fields_in_gyro_mode():

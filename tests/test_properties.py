@@ -27,7 +27,9 @@ from attkit.dynamics import (  # noqa: E402
 )
 from attkit.filters import (  # noqa: E402
     FilterConfig,
+    MeasurementBatch,
     run_filter,
+    update_attitude,
     update_omega_no_gyro,
     update_omega_with_gyro,
 )
@@ -37,6 +39,7 @@ from attkit.simulate import (  # noqa: E402
     clustered_references,
     gen_batches_from_truth,
     gen_truth,
+    gen_vector_measurements,
     make_rng,
 )
 
@@ -482,3 +485,22 @@ def test_gyro_rate_update_fixes_equal_rates(qx, ex, qg, eg, w):
     X, Gamma, Om = _spd(qx, ex), _spd(qg, eg), so3.hat(w)
     out = update_omega_with_gyro(Om, Om, X, Gamma)
     assert np.abs(out - Om).max() <= 16.0 * EPS * _sylvester_cond(X + Gamma) * np.abs(Om).max()
+
+
+@SETTINGS
+@given(rotation_vector, rotation_vector, rotation_vector, vec3, st.integers(0, 2**32 - 1))
+def test_attitude_update_is_left_equivariant(r, q, d, v, seed):
+    # refs -> R refs and C- -> R C- take the profile C- Delta + sum w e b^T
+    # to R L, so C+ -> R C+. Delta C- in place of C- Delta would not follow:
+    # this Delta, with distinct eigenvalues far apart, does not commute with R.
+    R, C_minus, Delta = _rotation(r), _rotation(q), _spd(d, (0.5, 0.0, -0.5))
+    rng = make_rng(seed)
+    refs = clustered_references(7, 0.4, axis=(0.3, -0.4, 0.87), rng=rng)
+    # Noisy measurements of an attitude the prior misses by up to 0.5 rad
+    truth = BodyState(0.0, C_minus @ _rotation(0.3 * np.array(v)), np.zeros((3, 3)))
+    body = gen_vector_measurements(truth, refs, NoiseSpec(sigma_vec=0.01), rng)
+    weights = rng.uniform(0.5, 2.0, 7)
+    cfg = FilterConfig(Delta=Delta)
+    C_plus = update_attitude(C_minus, MeasurementBatch(0.0, refs, body, weights), cfg)
+    moved = update_attitude(R @ C_minus, MeasurementBatch(0.0, R @ refs, body, weights), cfg)
+    assert np.abs(moved - R @ C_plus).max() <= 1e-12

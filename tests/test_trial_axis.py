@@ -30,7 +30,6 @@ from attkit.simulate import (
     NoiseSpec,
     ScenarioSpec,
     clustered_references,
-    filter_errors,
     gen_batches_from_truth,
     gen_truth,
     make_rng,
@@ -77,7 +76,12 @@ def _reference_metrics(scn, fcfg, omega_weight, integ, mode, trials, seed):
     for i in range(trials):
         batches = gen_batches_from_truth(truth, scn, make_rng(seed + i), omega_weight)
         estimates = run_filter(None, batches, scn.inertia, scn.potential, fcfg, mode=mode)
-        out.append(filter_errors(truth, estimates))
+        out.append([
+            (so3.principal_angle(est.C_minus, st.C), so3.principal_angle(est.C_plus, st.C),
+             np.linalg.norm(so3.vee(est.Omega_minus - st.Omega)),
+             np.linalg.norm(so3.vee(est.Omega_plus - st.Omega)))
+            for st, est in zip(truth, estimates, strict=True)
+        ])
     return np.array(out)
 
 

@@ -334,6 +334,23 @@ def test_cost_columnwise_oracle():
     assert abs(wahba.alignment_cost(C, E, B, w) - manual) <= 1e-13
 
 
+def test_stacked_cost_equals_one_problem_costs():
+    rng = np.random.default_rng(28)
+    Cs = np.array([so3.random_rotation(rng) for _ in range(4)])
+    E = _random_unit_set(rng)
+    Bs = np.array([_random_unit_set(rng) for _ in range(4)])
+    w = rng.uniform(0.1, 2.0, size=5)
+    one = wahba.alignment_cost(Cs[0], E, Bs[0], w)
+    assert type(one) is float
+    for costs, body in ((wahba.alignment_cost(Cs, E, Bs, w), Bs),  # stacked bodies
+                        (wahba.alignment_cost(Cs, E, Bs[0], w), [Bs[0]] * 4)):  # one shared
+        assert costs.shape == (4,)
+        for k in range(4):
+            assert costs[k] == wahba.alignment_cost(Cs[k], E, body[k], w)
+    with pytest.raises(ShapeMismatch):
+        wahba.alignment_cost(Cs, np.array([E, E]), Bs, w)
+
+
 def test_minimality_probe_on_reference_solution():
     C, _ = wahba.solve_attitude(wahba.build_profile(rc.REFS, ONES7, rc.BODY_MEAS))
     assert wahba.check_local_minimality(C, rc.REFS, rc.BODY_MEAS, ONES7)
