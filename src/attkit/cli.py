@@ -256,14 +256,13 @@ def _parse_filter(obj, integrator: IntegratorConfig):
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         raise ConfigError("filter: expected an object")
-    with _section("filter"):
-        Delta, Pi, Gamma, omega_weight = (
-            _as_mat3(obj.get(key, 1.0), f"filter.{key}", allow_scalar=True)
-            for key in ("delta", "pi", "gamma", "omega_weight")
-        )
-        fcfg = FilterConfig(Delta=Delta, Pi=Pi, Gamma=Gamma, integrator=integrator)
-    with _section("filter.omega_weight"):
-        return fcfg, so3.check_spd(omega_weight)
+    keys = ("delta", "pi", "gamma", "omega_weight")
+    weights = [_as_mat3(obj.get(key, 1.0), f"filter.{key}", allow_scalar=True) for key in keys]
+    for key, M in zip(keys, weights):
+        with _section(f"filter.{key}"):
+            so3.check_spd(M)
+    Delta, Pi, Gamma, omega_weight = weights
+    return FilterConfig(Delta=Delta, Pi=Pi, Gamma=Gamma, integrator=integrator), omega_weight
 
 
 def _load_run(args, filtering: bool = True) -> SimpleNamespace:

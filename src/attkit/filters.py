@@ -23,7 +23,7 @@ import numpy as np
 
 from . import so3, wahba
 from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance
-from .errors import InconsistentUpdate, MissingGyro, ShapeMismatch
+from .errors import InconsistentUpdate, MissingGyro
 
 # Allowed symmetric residual in the rate-matching update equation.
 UPDATE_SYM_TOL = 1e-9
@@ -59,7 +59,8 @@ class MeasurementBatch:
     """Vector measurements (and optionally a gyro reading) at one epoch.
 
     refs: 3xn inertial reference directions; body: the matched measured
-    body-frame directions, or a (B, 3, n) stack of them for B trials;
+    body-frame directions, or a (B, 3, n) stack of them for B trials, paired
+    by the one check alignment_cost and build_profile make too;
     weights: n positive weights (defaults to ones). omega_meas is the
     measured angular velocity as a skew matrix (or a stack of them) and
     omega_weight its symmetric positive definite weight, typically assigned
@@ -75,33 +76,20 @@ class MeasurementBatch:
     omega_weight: np.ndarray | None = None
 
     def __post_init__(self):
-        refs = np.asarray(self.refs, dtype=float)
-        body = np.asarray(self.body, dtype=float)
-        if refs.shape != body.shape[-2:] or refs.ndim != 2 or refs.shape[0] != 3:
-            raise ShapeMismatch(
-                f"reference set {refs.shape} and body set {body.shape} differ"
-            )
+        refs, body = wahba._pair(self.refs, self.body)
         object.__setattr__(self, "refs", refs)
         object.__setattr__(self, "body", body)
         w = np.ones(refs.shape[1]) if self.weights is None else self.weights
         object.__setattr__(self, "weights", wahba.check_weights(w, n=refs.shape[1]))
         if self.omega_meas is not None:
             om = np.asarray(self.omega_meas, dtype=float)
-            one = om.shape == (3, 3)  # one reading: both checks from its floats
-            if one:
-                (a, b, c), (d, e, f), (g, h, i) = rows = om.tolist()
-                w2 = sum(0.5 * v * v for r in rows for v in r)  # |w|^2 = |om|^2 / 2
-                resid = max(abs(a + a), abs(b + d), abs(c + g), abs(e + e), abs(f + h), abs(i + i))
-            else:
-                flat = om.reshape(*om.shape[:-2], -1)
-                with np.errstate(over="ignore"):  # |w|^2 may overflow
-                    w2 = np.vecdot(0.5 * flat, flat)
+            flat = om.reshape(*om.shape[:-2], -1)
+            with np.errstate(over="ignore"):  # |w|^2 = |om|^2 / 2 may overflow
+                w2 = np.vecdot(0.5 * flat, flat)
             bad = so3._first_failure(w2 < np.inf, w2)
             if bad is not None:
                 raise ValueError(f"omega_meas: squared rate {bad} is not finite")
-            if one:
-                so3._check_skew_residual(resid)
-            object.__setattr__(self, "omega_meas", om if one else so3.check_skew(om))
+            object.__setattr__(self, "omega_meas", so3.check_skew(om))
         if self.omega_weight is not None:
             object.__setattr__(self, "omega_weight", so3.check_spd(self.omega_weight))
 

@@ -44,14 +44,11 @@ def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
-    _check_skew_residual(np.abs(X + X.mT).max(), tol)
-    Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
-    return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
-
-
-def _check_skew_residual(resid, tol: float = SKEW_TOL):
+    resid = np.abs(X + X.mT).max()
     if not resid <= tol:  # NaN fails
         raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
+    Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
+    return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
 
 
 def exp_so3(X) -> np.ndarray:
@@ -201,7 +198,7 @@ def check_spd(S, sym_tol: float = SYM_TOL) -> np.ndarray:
         raise NotSymmetricPD(f"symmetry residual {resid:.3e} exceeds {sym_tol:.1e}")
     lo = np.linalg.eigvalsh(S)[0]
     if not lo > 0.0:
-        raise NotSymmetricPD(f"smallest eigenvalue {lo!r} is not positive")
+        raise NotSymmetricPD(f"smallest eigenvalue {lo} is not positive")
     return S
 
 

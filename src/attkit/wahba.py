@@ -93,6 +93,16 @@ def check_vector_set(V, unit: bool = False, name: str = "vector set") -> np.ndar
     return V
 
 
+def _pair(refs, body):
+    # One 3xn reference set and its body set, 3xn or a (B, 3, n) stack,
+    # matched column by column, as float arrays.
+    refs = np.asarray(refs, dtype=float)
+    body = np.asarray(body, dtype=float)
+    if refs.shape != body.shape[-2:] or refs.ndim != 2 or refs.shape[0] != 3:
+        raise ShapeMismatch(f"reference set {refs.shape} and body set {body.shape} differ")
+    return refs, body
+
+
 def check_weights(w, n: int | None = None) -> np.ndarray:
     """Validate a vector of positive diagonal weights."""
     w = np.asarray(w, dtype=float)
@@ -155,11 +165,7 @@ def build_profile(refs, weights, body) -> AttitudeProfile:
     weights. Measured vectors are used as given, without re-normalization.
     """
     refs = check_vector_set(refs, name="reference vectors")
-    body = check_vector_set(body, name="body vectors")
-    if refs.shape != body.shape[-2:]:
-        raise ShapeMismatch(
-            f"reference set {refs.shape} and body set {body.shape} differ"
-        )
+    refs, body = _pair(refs, check_vector_set(body, name="body vectors"))
     weights = check_weights(weights, n=refs.shape[1])
     return profile_from_matrix(refs @ (weights[:, None] * body.mT))
 
@@ -192,12 +198,7 @@ def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
 def alignment_cost(attitude, refs, body, weights):
     """Weighted least-squares cost 0.5 * sum_i w_i |e_i - C b_i|^2: a float
     for one problem, an array of B costs for stacked attitudes or bodies."""
-    refs = np.asarray(refs, dtype=float)
-    body = np.asarray(body, dtype=float)
-    if refs.shape != body.shape[-2:] or refs.ndim != 2 or refs.shape[0] != 3:
-        raise ShapeMismatch(
-            f"reference set {refs.shape} and body set {body.shape} differ"
-        )
+    refs, body = _pair(refs, body)
     weights = check_weights(weights, n=refs.shape[1])
     D = refs - np.asarray(attitude, dtype=float) @ body
     cost = 0.5 * np.sum(weights * np.einsum("...ij,...ij->...j", D, D), axis=-1)

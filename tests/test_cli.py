@@ -486,3 +486,130 @@ def test_fuzzed_config_leaves_end_in_an_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SINGULAR, EXIT_REFLECTION), (path, value)
         assert code == EXIT_OK or err.startswith("error: "), (path, value)
+
+
+# ---------------------------------------------------------------------------
+# filter weights, init.omega and run-file structure
+
+NON_SYMMETRIC = [1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+@pytest.mark.parametrize("key, value, message", [
+    ("delta", 0, "smallest eigenvalue 0.0 is not positive"),
+    ("pi", -1, "smallest eigenvalue -1.0 is not positive"),
+    ("gamma", NON_SYMMETRIC, "symmetry residual 2.000e+00 exceeds 1.0e-12"),
+    ("omega_weight", 0, "smallest eigenvalue 0.0 is not positive"),
+], ids=["delta", "pi", "gamma", "omega_weight"])
+def test_filter_weight_not_spd_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, key,
+                                                 value, message):
+    cfg = _run_file()
+    cfg["filter"] = {key: value}
+    monkeypatch.setattr(simulate, "gen_truth", lambda *a: pytest.fail("truth propagated"))
+    assert cli.main(_argv(command, _write(tmp_path, "fw.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: filter.{key}: {message}\n"
+
+
+def test_filter_weights_are_checked_in_order(tmp_path, capsys):
+    # Every weight is parsed before any is checked; then delta, pi, gamma
+    # and omega_weight are checked in that order.
+    keys = ["delta", "pi", "gamma", "omega_weight"]
+    for first in range(4):
+        cfg = _run_file()
+        cfg["filter"] = {key: -1 for key in keys[first:]}
+        assert cli.main(_argv("filter", _write(tmp_path, "fo.json", cfg))) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: filter.{keys[first]}: ")
+    cfg = _run_file()
+    cfg["filter"] = {"delta": -1, "omega_weight": "x"}
+    assert cli.main(_argv("filter", _write(tmp_path, "fp.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: filter.omega_weight: not numeric\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter"])
+def test_skew_matrix_initial_rate_runs_as_its_vector(tmp_path, capsys, command):
+    # scenario.init.omega as 9 row-major numbers or a nested 3x3 skew matrix
+    # is the same run as the 3-vector.
+    outputs = []
+    x, y, z = 0.8, -0.5, 1.0
+    skew = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+    for omega in ([x, y, z], [v for row in skew for v in row], skew):
+        cfg = _run_file()
+        cfg["scenario"]["init"]["omega"] = omega
+        assert cli.main(_argv(command, _write(tmp_path, "om.json", cfg))) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter"])
+@pytest.mark.parametrize("omega, message", [
+    ([0.0, -0.9, -0.5, 1.0, 0.0, -0.8, 0.5, 0.8, 0.0],
+     "scenario: symmetry residual 1.000e-01 exceeds 1.0e-12"),
+    ([0.8, -0.5, 1.0, 0.0],
+     "scenario.init.omega: expected a 3-vector or row-major skew matrix"),
+], ids=["not-skew", "4-vector"])
+def test_malformed_initial_rate_exits_2(tmp_path, capsys, command, omega, message):
+    cfg = _run_file()
+    cfg["scenario"]["init"]["omega"] = omega
+    assert cli.main(_argv(command, _write(tmp_path, "bo.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _drop(obj, key):
+    del obj[key]
+
+
+# Each edit of a valid run file, and the one message it must give.
+STRUCTURE_ERRORS = {
+    "refs-two-rows": (lambda c: c["scenario"].update(refs=c["scenario"]["refs"][:2]),
+                      "scenario.refs: expected 3 row arrays, got shape (2, 7)"),
+    "potential-string": (lambda c: c["scenario"].update(potential="zero"),
+                         'potential: expected an object with a "type" field'),
+    "potential-no-type": (lambda c: c["scenario"].update(potential={}),
+                          'potential: expected an object with a "type" field'),
+    "linear-no-coeff": (lambda c: c["scenario"].update(potential={"type": "linear"}),
+                        'potential: linear type requires "coeff"'),
+    "schedule-no-count": (lambda c: c["scenario"].update(schedule={"start": 0.05, "dt": 0.05}),
+                          'schedule: expected {"times": [...]} or {"start", "dt", "count"}'),
+    "scenario-list": (lambda c: c.update(scenario=[]), "scenario: expected an object"),
+    "scenario-no-inertia": (lambda c: _drop(c["scenario"], "inertia"),
+                            "scenario: missing 'inertia'"),
+    "init-no-omega": (lambda c: _drop(c["scenario"]["init"], "omega"),
+                      'scenario.init: expected {"t", "attitude", "omega"}'),
+    "integrator-number": (lambda c: c.update(integrator=5e-3), "integrator: expected an object"),
+    "no-scenario": (lambda c: _drop(c, "scenario"), "COMMAND config: missing 'scenario'"),
+}
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize("edit", list(STRUCTURE_ERRORS))
+def test_run_file_structure_errors_exit_2(tmp_path, capsys, command, edit):
+    change, message = STRUCTURE_ERRORS[edit]
+    cfg = _run_file()
+    change(cfg)
+    assert cli.main(_argv(command, _write(tmp_path, "se.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.replace('COMMAND', command)}\n"
+
+
+@pytest.mark.parametrize("command", ["filter", "montecarlo"])
+def test_filter_section_not_an_object_exits_2(tmp_path, capsys, command):
+    cfg = _run_file()
+    cfg["filter"] = [1.0]
+    assert cli.main(_argv(command, _write(tmp_path, "fl.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: filter: expected an object\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "determine"])
+def test_config_root_not_an_object_exits_2(tmp_path, capsys, command):
+    path = _write(tmp_path, "root.json", [{"schema": 1}])
+    assert cli.main([command, "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter"])
+def test_null_potential_is_a_free_body(tmp_path, capsys, command):
+    outputs = []
+    for potential in (None, {"type": "zero"}):
+        cfg = _run_file(potential=potential)
+        assert cli.main(_argv(command, _write(tmp_path, "np.json", cfg))) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -395,3 +395,17 @@ def test_initial_estimate_requires_some_rate_source():
         initial_estimate(bare)
     given = initial_estimate(bare, Omega0=so3.hat([0.1, 0.2, 0.3]))
     assert np.abs(so3.vee(given.Omega_plus) - [0.1, 0.2, 0.3]).max() == 0.0
+
+
+def test_run_filter_rejects_an_initial_estimate_at_another_time():
+    scn = _scenario(count=3)
+    _, batches = simulate_scenario(scn)
+    est = initial_estimate(batches[0])
+    cfg = FilterConfig()
+    assert len(run_filter(est, batches, scn.inertia, scn.potential, cfg)) == 3
+    # Within 1e-12 relative of the first epoch is the same time.
+    near = FilterEstimate(est.t * (1 + 5e-13), est.C_minus, est.C_plus, est.Omega_minus, est.Omega_plus)
+    assert len(run_filter(near, batches, scn.inertia, scn.potential, cfg)) == 3
+    late = FilterEstimate(est.t + 1e-3, est.C_minus, est.C_plus, est.Omega_minus, est.Omega_plus)
+    with pytest.raises(ValueError, match="^initial estimate time .* does not match first epoch"):
+        run_filter(late, batches, scn.inertia, scn.potential, cfg)

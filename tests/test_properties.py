@@ -41,6 +41,7 @@ from attkit.simulate import (  # noqa: E402
     gen_truth,
     gen_vector_measurements,
     make_rng,
+    simulate_scenario,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -504,3 +505,41 @@ def test_attitude_update_is_left_equivariant(r, q, d, v, seed):
     C_plus = update_attitude(C_minus, MeasurementBatch(0.0, refs, body, weights), cfg)
     moved = update_attitude(R @ C_minus, MeasurementBatch(0.0, R @ refs, body, weights), cfg)
     assert np.abs(moved - R @ C_plus).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rotation_vector, rotation_vector, st.integers(0, 2**32 - 1))
+def test_filter_is_left_equivariant(r, q, seed):
+    # refs -> R refs and A -> R A, with the same body vectors and gyro
+    # readings, take every C- and C+ to R C- and R C+ and leave Omega- and
+    # Omega+ as they were, in both modes. The weights are distinct and far
+    # from isotropic, so a weight applied on the wrong side breaks this.
+    R = _rotation(r)
+    rng = make_rng(seed)
+    frames = rng.uniform(-math.pi, math.pi, size=(5, 3))
+    A = rng.normal(0.0, 0.5, size=(3, 3))
+    cfg = FilterConfig(
+        Delta=_spd(frames[0], (0.5, 0.0, -0.5)),
+        Pi=_spd(frames[1], (0.6, 0.1, -0.4)),
+        Gamma=_spd(frames[2], (0.3, -0.2, -0.7)),
+        integrator=IntegratorConfig(step=5e-3),
+    )
+    scn = ScenarioSpec(
+        refs=clustered_references(7, 0.4, axis=(0.3, -0.4, 0.87), rng=rng),
+        inertia=InertiaSpec(_spd(frames[3], (0.4, 0.2, 0.0))),
+        potential=linear_potential(A),
+        init=BodyState(0.0, _rotation(q), so3.hat(rng.normal(size=3))),
+        schedule=0.05 * np.arange(1, 11),
+        noise=NoiseSpec(sigma_vec=0.01, sigma_gyro=0.01, seed=seed),
+    )
+    _, batches = simulate_scenario(scn, omega_weight=_spd(frames[4], (1.0, 0.6, 0.2)))
+    moved = [MeasurementBatch(b.t, R @ b.refs, b.body, b.weights, b.omega_meas, b.omega_weight)
+             for b in batches]
+    for mode in ("no_gyro", "with_gyro"):
+        ests = run_filter(None, batches, scn.inertia, scn.potential, cfg, mode)
+        others = run_filter(None, moved, scn.inertia, linear_potential(R @ A), cfg, mode)
+        for est, other in zip(ests, others, strict=True):
+            assert np.abs(other.C_minus - R @ est.C_minus).max() <= 1e-12
+            assert np.abs(other.C_plus - R @ est.C_plus).max() <= 1e-12
+            assert np.abs(other.Omega_minus - est.Omega_minus).max() <= 1e-12
+            assert np.abs(other.Omega_plus - est.Omega_plus).max() <= 1e-12

@@ -203,3 +203,14 @@ def test_scenario_spec_validation():
             schedule=np.array([-0.5]),
             noise=NoiseSpec(),
         )
+
+
+def test_scenario_spec_rejects_a_schedule_that_is_not_1d():
+    with pytest.raises(ValueError, match="^schedule must be a 1-d sequence of times$"):
+        ScenarioSpec(
+            refs=clustered_references(5, 0.3, rng=make_rng(28)),
+            inertia=InertiaSpec(np.eye(3)),
+            potential=zero_potential(),
+            init=BodyState(0.0, np.eye(3), np.zeros((3, 3))),
+            schedule=np.array([[0.1, 0.2], [0.3, 0.4]]),
+        )

@@ -199,3 +199,13 @@ def test_random_rotation_is_valid():
     rng = np.random.default_rng(12)
     for _ in range(100):
         so3.check_rotation(so3.random_rotation(rng), tol=1e-12)
+
+
+def test_check_spd_rejects_a_matrix_that_is_not_3x3_and_prints_plain_numbers():
+    for S in (np.eye(2), np.eye(4), np.stack([np.eye(3)] * 2)):
+        with pytest.raises(NotSymmetricPD, match=r"^expected 3x3 matrix, got "):
+            so3.check_spd(S)
+    for S, lo in ((-np.eye(3), "-1.0"), (np.diag([2.0, 0.0, 1.0]), "0.0")):
+        with pytest.raises(NotSymmetricPD) as exc:
+            so3.check_spd(S)
+        assert str(exc.value) == f"smallest eigenvalue {lo} is not positive"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from attkit import reference_case as rc
 from attkit import so3, wahba
 from attkit.errors import ReflectionProfile, ShapeMismatch, SingularProfile
+from attkit.filters import MeasurementBatch
 
 ONES7 = np.ones(7)
 
@@ -368,3 +370,52 @@ def test_minimality_probe_at_global_minimum():
     E = _random_unit_set(rng)
     B = C.T @ E
     assert wahba.check_local_minimality(C, E, B, np.ones(5))
+
+
+# ---------------------------------------------------------------------------
+# the one refs/body pairing check
+
+@pytest.mark.parametrize("body_shape", [(3, 6), (2, 3, 6), (4, 7), (2, 4, 7)])
+def test_refs_body_pairing_is_one_check_with_one_message(body_shape):
+    # MeasurementBatch, alignment_cost and build_profile pair a 3x7 reference
+    # set with its body set through one check, and word its error alike.
+    rng = np.random.default_rng(41)
+    refs = _random_unit_set(rng, 7)
+    body = rng.normal(size=body_shape)
+    message = f"reference set (3, 7) and body set {body_shape} differ"
+    callers = [
+        lambda: MeasurementBatch(0.0, refs, body),
+        lambda: wahba.alignment_cost(np.eye(3), refs, body, ONES7),
+    ]
+    if body_shape[-2] == 3:  # else build_profile's own vector-set check decides first
+        callers.append(lambda: wahba.build_profile(refs, ONES7, body))
+    for call in callers:
+        with pytest.raises(ShapeMismatch) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_pairing_check_rejects_a_reference_set_that_is_not_one_3xn_set():
+    refs = _random_unit_set(np.random.default_rng(42), 7)
+    for bad in (refs[None], refs.T, refs[:, 0]):
+        message = f"reference set {bad.shape} and body set {bad.shape} differ"
+        for call in (lambda: MeasurementBatch(0.0, bad, bad),
+                     lambda: wahba.alignment_cost(np.eye(3), bad, bad, ONES7)):
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+                call()
+    with pytest.raises(ShapeMismatch, match=r"^reference set \(1, 3, 7\) and body set \(1, 3, 7\)"):
+        wahba.build_profile(refs[None], ONES7, refs[None])
+
+
+def test_cost_and_profile_need_weights():
+    refs = _random_unit_set(np.random.default_rng(43), 7)
+    for call in (lambda: wahba.alignment_cost(np.eye(3), refs, refs, None),
+                 lambda: wahba.build_profile(refs, None, refs)):
+        with pytest.raises(ShapeMismatch, match=r"^weights must be 1-d, got shape \(\)$"):
+            call()
+
+
+def test_profile_from_matrix_rejects_a_matrix_that_is_not_3x3():
+    for M in (np.eye(2), np.eye(4), np.ones((3, 3, 2))):
+        with pytest.raises(ShapeMismatch, match=f"^profile must be 3x3, got {re.escape(str(M.shape))}$"):
+            wahba.profile_from_matrix(M)

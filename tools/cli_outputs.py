@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 261 attkit CLI commands.
+"""Write the outputs of a fixed set of 269 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -36,7 +36,12 @@ The commands:
 * a reflection as the attitude (see ``_improper_attitudes``): a run file
   with one as ``init.attitude``, for ``propagate``, and for ``filter`` and
   ``montecarlo --trials 3`` in both modes; and a determine problem with
-  one as ``truth``. They come last, for the same reason.
+  one as ``truth``. They come after the failing runs, for the same reason;
+* checks made as a run file is read (see ``_read_checks``): ``filter`` with
+  a delta, a pi and a gamma that are not symmetric positive definite;
+  ``propagate`` with an inertia that is not; and ``propagate`` and
+  ``filter`` with init.omega given as a row-major skew matrix, and as one
+  that is not skew. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -190,6 +195,25 @@ def _improper_attitudes(rng):
     return {"improper_init": run, "determine_improper_truth": determine}
 
 
+def _read_checks(rng):
+    """Run files that fail, or pass, checks made as the file is read: a filter
+    delta of 0, a pi of -1 and a non-symmetric gamma; an inertia with a
+    negative eigenvalue; and init.omega given as the 9 row-major entries of
+    a skew matrix, and of a matrix that is not skew."""
+    files = {}
+    for key, value in (("delta", 0.0), ("pi", -1.0),
+                       ("gamma", [1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])):
+        files[f"bad_{key}"] = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular")
+        files[f"bad_{key}"]["filter"][key] = value
+    files["bad_inertia"] = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular",
+                                     inertia=[2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -0.5])
+    for name, asym in (("omega_skew", 0.0), ("omega_not_skew", 0.1)):
+        files[name] = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular")
+        x, y, z = files[name]["scenario"]["init"]["omega"]
+        files[name]["scenario"]["init"]["omega"] = [0.0, -z + asym, y, z, 0.0, -x, -y, x, 0.0]
+    return files
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -225,6 +249,8 @@ def commands(inputs):
     files.update(failing)
     improper = _improper_attitudes(np.random.default_rng(20261022))
     files.update(improper)
+    read_checks = _read_checks(np.random.default_rng(20261023))
+    files.update(read_checks)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -265,6 +291,13 @@ def commands(inputs):
                     ["montecarlo", *cfg("improper_init"), "--mode", mode, "--trials", "3"]))
     out.append(("determine_improper_truth",
                 ["determine", *cfg("determine_improper_truth"), "--output", "determine_improper_truth.json"]))
+    # After the improper attitudes, for the same reason
+    for name in ("bad_delta", "bad_pi", "bad_gamma"):
+        out.append((f"filter_{name}", ["filter", *cfg(name)]))
+    out.append(("propagate_bad_inertia", ["propagate", *cfg("bad_inertia")]))
+    for name in ("omega_skew", "omega_not_skew"):
+        out.append((f"propagate_{name}", ["propagate", *cfg(name)]))
+        out.append((f"filter_{name}", ["filter", *cfg(name)]))
     return out
 
 
