@@ -17,7 +17,6 @@ per stage, and each step's update C exp(hat(th)) is one function of them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -258,113 +257,126 @@ def _advance(inertia, potential, C, w, span, h):
     # arrays for B bodies at once, whose fastest one the pi/4 guard checks.
     # C moves on its components; its matrix is formed once, at the end. Each
     # step is written out, since at 3-vector sizes calls cost as much as the
-    # arithmetic. A stage has rate u, attitude C exp(hat(s)) (formed only in a
-    # potential), a = dexpinv(s, u), and l = vee(Omegadot): K l = K u x u + moment.
-    # q and t sum the l and the a with weights 1, 2, 2, 1, left to right.
+    # arithmetic. For the same reason, on (B,) arrays every constant (the
+    # inertia's entries, a declared gradient's, 0.5, 2, 12 and each step
+    # length's dt, dt/2 and dt/6) is bound once per call as a 0-d array:
+    # numpy multiplies one into an array a third faster than a Python float,
+    # which it must convert first, and gives the same bits. A stage has rate
+    # u, attitude C exp(hat(s)) (formed only in a potential), a = dexpinv(s, u),
+    # and l = vee(Omegadot): K l = K u x u + moment. q and t sum the l and the
+    # a with weights 1, 2, 2, 1, left to right.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
+    stacked = getattr(w[0], "ndim", 0) > 0
+    k, i = inertia.classical.ravel().tolist(), inertia.classical_inv.ravel().tolist()
+    consts = (*k, *i, 0.5, 2.0, 12.0)
     g = None if potential.coeff is None else potential.coeff.ravel().tolist()
     free, grad = g is not None and not any(g), potential.gradient
+    if stacked:
+        consts, g = [np.array(x) for x in consts], g and [np.array(x) for x in g]
+    (k00, k01, k02, k10, k11, k12, k20, k21, k22,
+     i00, i01, i02, i10, i11, i12, i20, i21, i22, half, two, twelve) = consts
     c = _components(C)
     w0, w1, w2 = w
-    for dt in itertools.chain(itertools.repeat(h, n_full), (rem,) if rem > 0.0 else ()):
-        r2 = w0 * w0 + w1 * w1 + w2 * w2
-        wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
-        if wmag * dt > MAX_STEP_ROTATION:
-            raise StepTooLarge(f"step {dt} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
-        hh = 0.5 * dt
-        # Stage 1: u = a = w at C itself.
-        m0 = k00 * w0 + k01 * w1 + k02 * w2
-        m1 = k10 * w0 + k11 * w1 + k12 * w2
-        m2 = k20 * w0 + k21 * w1 + k22 * w2
-        d0, d1, d2 = m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0
-        if not free:
-            # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
-            x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, c)
-            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-        q0 = i00 * d0 + i01 * d1 + i02 * d2
-        q1 = i10 * d0 + i11 * d1 + i12 * d2
-        q2 = i20 * d0 + i21 * d1 + i22 * d2
-        # Stage 2: s = h/2 w. dexpinv(s, u) = u + 1/2 s x u + 1/12 s x (s x u),
-        # truncated at the order RK4 needs. The plus sign on the first
-        # commutator matters: the minus variant drops the scheme to 2nd order.
-        s0, s1, s2 = hh * w0, hh * w1, hh * w2
-        u0, u1, u2 = w0 + hh * q0, w1 + hh * q1, w2 + hh * q2
-        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-        t0, t1, t2 = w0 + 2.0 * a0, w1 + 2.0 * a1, w2 + 2.0 * a2
-        m0 = k00 * u0 + k01 * u1 + k02 * u2
-        m1 = k10 * u0 + k11 * u1 + k12 * u2
-        m2 = k20 * u0 + k21 * u1 + k22 * u2
-        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-        if not free:
-            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-        l0 = i00 * d0 + i01 * d1 + i02 * d2
-        l1 = i10 * d0 + i11 * d1 + i12 * d2
-        l2 = i20 * d0 + i21 * d1 + i22 * d2
-        q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
-        # Stage 3: s = h/2 a.
-        s0, s1, s2 = hh * a0, hh * a1, hh * a2
-        u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
-        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-        t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
-        m0 = k00 * u0 + k01 * u1 + k02 * u2
-        m1 = k10 * u0 + k11 * u1 + k12 * u2
-        m2 = k20 * u0 + k21 * u1 + k22 * u2
-        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-        if not free:
-            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-        l0 = i00 * d0 + i01 * d1 + i02 * d2
-        l1 = i10 * d0 + i11 * d1 + i12 * d2
-        l2 = i20 * d0 + i21 * d1 + i22 * d2
-        q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
-        # Stage 4: s = h a.
-        s0, s1, s2 = dt * a0, dt * a1, dt * a2
-        u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
-        e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-        a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-        a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-        a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-        t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
-        m0 = k00 * u0 + k01 * u1 + k02 * u2
-        m1 = k10 * u0 + k11 * u1 + k12 * u2
-        m2 = k20 * u0 + k21 * u1 + k22 * u2
-        d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-        if not free:
-            x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-            d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-            d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-            d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-        q0 += i00 * d0 + i01 * d1 + i02 * d2
-        q1 += i10 * d0 + i11 * d1 + i12 * d2
-        q2 += i20 * d0 + i21 * d1 + i22 * d2
-        # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
-        sixth = dt / 6.0
-        c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
-        w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
+    for step, count in ((h, n_full), (rem, int(rem > 0.0))):
+        # dt, dt/2 and dt/6 of each distinct step length; the guard reads the float.
+        dt, hh, sixth = step, 0.5 * step, step / 6.0
+        if stacked:
+            dt, hh, sixth = np.array(dt), np.array(hh), np.array(sixth)
+        for _ in range(count):
+            r2 = w0 * w0 + w1 * w1 + w2 * w2
+            wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
+            if wmag * step > MAX_STEP_ROTATION:
+                raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
+            # Stage 1: u = a = w at C itself.
+            m0 = k00 * w0 + k01 * w1 + k02 * w2
+            m1 = k10 * w0 + k11 * w1 + k12 * w2
+            m2 = k20 * w0 + k21 * w1 + k22 * w2
+            d0, d1, d2 = m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0
+            if not free:
+                # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
+                x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, c)
+                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+            q0 = i00 * d0 + i01 * d1 + i02 * d2
+            q1 = i10 * d0 + i11 * d1 + i12 * d2
+            q2 = i20 * d0 + i21 * d1 + i22 * d2
+            # Stage 2: s = h/2 w. dexpinv(s, u) = u + 1/2 s x u + 1/12 s x (s x u),
+            # truncated at the order RK4 needs. The plus sign on the first
+            # commutator matters: the minus variant drops the scheme to 2nd order.
+            s0, s1, s2 = hh * w0, hh * w1, hh * w2
+            u0, u1, u2 = w0 + hh * q0, w1 + hh * q1, w2 + hh * q2
+            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
+            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
+            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
+            t0, t1, t2 = w0 + two * a0, w1 + two * a1, w2 + two * a2
+            m0 = k00 * u0 + k01 * u1 + k02 * u2
+            m1 = k10 * u0 + k11 * u1 + k12 * u2
+            m2 = k20 * u0 + k21 * u1 + k22 * u2
+            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+            if not free:
+                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+            l0 = i00 * d0 + i01 * d1 + i02 * d2
+            l1 = i10 * d0 + i11 * d1 + i12 * d2
+            l2 = i20 * d0 + i21 * d1 + i22 * d2
+            q0, q1, q2 = q0 + two * l0, q1 + two * l1, q2 + two * l2
+            # Stage 3: s = h/2 a.
+            s0, s1, s2 = hh * a0, hh * a1, hh * a2
+            u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
+            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
+            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
+            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
+            t0, t1, t2 = t0 + two * a0, t1 + two * a1, t2 + two * a2
+            m0 = k00 * u0 + k01 * u1 + k02 * u2
+            m1 = k10 * u0 + k11 * u1 + k12 * u2
+            m2 = k20 * u0 + k21 * u1 + k22 * u2
+            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+            if not free:
+                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+            l0 = i00 * d0 + i01 * d1 + i02 * d2
+            l1 = i10 * d0 + i11 * d1 + i12 * d2
+            l2 = i20 * d0 + i21 * d1 + i22 * d2
+            q0, q1, q2 = q0 + two * l0, q1 + two * l1, q2 + two * l2
+            # Stage 4: s = h a.
+            s0, s1, s2 = dt * a0, dt * a1, dt * a2
+            u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
+            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
+            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
+            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
+            t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
+            m0 = k00 * u0 + k01 * u1 + k02 * u2
+            m1 = k10 * u0 + k11 * u1 + k12 * u2
+            m2 = k20 * u0 + k21 * u1 + k22 * u2
+            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+            if not free:
+                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+            q0 += i00 * d0 + i01 * d1 + i02 * d2
+            q1 += i10 * d0 + i11 * d1 + i12 * d2
+            q2 += i20 * d0 + i21 * d1 + i22 * d2
+            # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
+            c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
+            w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
     return so3._matrix(c), (w0, w1, w2)
 
 

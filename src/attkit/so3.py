@@ -41,14 +41,18 @@ def hat(v) -> np.ndarray:
 
 def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Inverse of hat. Raises NotSkew if X is not skew within tol."""
+    Xt = _skew(X, tol).T  # stack axis last: Xt[j, i] is X[:, i, j]
+    return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
+
+
+def _skew(X, tol):  # X as a float array: the shape and skewness check vee and check_skew share
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
     resid = np.abs(X + X.mT).max()
     if not resid <= tol:  # NaN fails
         raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
-    Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
-    return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
+    return X
 
 
 def exp_so3(X) -> np.ndarray:
@@ -183,9 +187,7 @@ def _first_failure(ok, value):
 
 def check_skew(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Validate a skew-symmetric matrix; returns it as a float array."""
-    X = np.asarray(X, dtype=float)
-    vee(X, tol=tol)
-    return X
+    return _skew(X, tol)
 
 
 def check_spd(S, sym_tol: float = SYM_TOL) -> np.ndarray:

@@ -543,3 +543,42 @@ def test_filter_is_left_equivariant(r, q, seed):
             assert np.abs(other.C_plus - R @ est.C_plus).max() <= 1e-12
             assert np.abs(other.Omega_minus - est.Omega_minus).max() <= 1e-12
             assert np.abs(other.Omega_plus - est.Omega_plus).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rotation_vector, rotation_vector, st.integers(0, 2**32 - 1))
+def test_propagation_is_left_equivariant(r, q, seed):
+    # C -> R C and A -> R A leave the moment G^T C - C^T G as it was, so
+    # the attitude goes to R C and the rate stays, free or in the potential.
+    # The inertia's eigenvalues (4, 1.26, 0.4) are far apart, so a moment
+    # or a kinematics taken in the wrong frame breaks this.
+    R = _rotation(r)
+    rng = make_rng(seed)
+    inertia = InertiaSpec(_spd(rng.uniform(-math.pi, math.pi, size=3), (0.6, 0.1, -0.4)))
+    A = rng.normal(0.0, 0.5, size=(3, 3))
+    start = BodyState(0.0, _rotation(q), so3.hat(rng.normal(size=3)))
+    moved = BodyState(0.0, R @ start.C, start.Omega)
+    cfg = IntegratorConfig(step=5e-3)
+    for pot, pot_moved in ((linear_potential(A), linear_potential(R @ A)),
+                           (zero_potential(), zero_potential())):
+        # 100 full steps and a partial one
+        end = propagate(start, inertia, pot, 0.5021, cfg)
+        other = propagate(moved, inertia, pot_moved, 0.5021, cfg)
+        assert np.abs(other.C - R @ end.C).max() <= 1e-12
+        assert np.abs(other.Omega - end.Omega).max() <= 1e-12
+
+
+@SETTINGS
+@given(rotation_vector, rotation_vector, st.integers(0, 2**32 - 1))
+def test_attitude_solve_is_left_equivariant(r, q, seed):
+    # refs -> R refs takes the profile L = sum w e b^T to R L, so the
+    # solved attitude C goes to R C.
+    R = _rotation(r)
+    rng = make_rng(seed)
+    refs = clustered_references(7, 0.4, axis=(0.3, -0.4, 0.87), rng=rng)
+    truth = BodyState(0.0, _rotation(q), np.zeros((3, 3)))
+    body = gen_vector_measurements(truth, refs, NoiseSpec(sigma_vec=0.01), rng)
+    weights = rng.uniform(0.5, 2.0, 7)
+    C, _ = wahba.solve_attitude(wahba.build_profile(refs, weights, body))
+    moved, _ = wahba.solve_attitude(wahba.build_profile(R @ refs, weights, body))
+    assert np.abs(moved - R @ C).max() <= 1e-12

@@ -4,9 +4,11 @@ import pytest
 from attkit import so3
 from attkit.dynamics import BodyState, InertiaSpec, kinetic_energy, zero_potential
 from attkit.simulate import (
+    DRAW_BLOCK,
     NoiseSpec,
     ScenarioSpec,
     clustered_references,
+    gen_batches_from_truth,
     gen_gyro_measurement,
     gen_truth,
     gen_vector_measurements,
@@ -214,3 +216,45 @@ def test_scenario_spec_rejects_a_schedule_that_is_not_1d():
             init=BodyState(0.0, np.eye(3), np.zeros((3, 3))),
             schedule=np.array([[0.1, 0.2], [0.3, 0.4]]),
         )
+
+
+def _per_epoch_measurements(state, refs, noise, rng):
+    # One epoch drawn with one normal call per noisy sensor: the vector noise
+    # (3, n), then the gyro noise (3).
+    body, omega = state.C.T @ refs, state.Omega.copy()
+    if noise.sigma_vec > 0.0:
+        body = body + rng.normal(0.0, noise.sigma_vec, size=refs.shape)
+        body = body / np.linalg.norm(body, axis=0)
+    if noise.sigma_gyro > 0.0:
+        omega = omega + so3.hat(rng.normal(0.0, noise.sigma_gyro, size=3))
+    return body, omega
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize(
+    "sigmas", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.02), (0.01, 0.02)],
+    ids=["none", "vec", "gyro", "both"],
+)
+def test_blocked_draws_equal_per_epoch_draws(sigmas, trials):
+    # Two block boundaries, then a partial block. Batches drawn for a list
+    # of generators hold one trial per generator on a leading axis, or one
+    # measurement shared by every trial where that sensor has no noise.
+    epochs = 2 * DRAW_BLOCK + DRAW_BLOCK // 2
+    scn = _scenario(noise=NoiseSpec(*sigmas), count=epochs)
+    truth = gen_truth(scn)
+    seeds = [40 + i for i in range(trials)]
+    rngs = [make_rng(seed) for seed in seeds]
+    batches = gen_batches_from_truth(truth, scn, rngs[0] if trials == 1 else rngs)
+    for i, seed in enumerate(seeds):
+        public, plain = make_rng(seed), make_rng(seed)
+        for state, batch in zip(truth, batches, strict=True):
+            body = gen_vector_measurements(state, scn.refs, scn.noise, public)
+            omega = gen_gyro_measurement(state.Omega, scn.noise, public)
+            expected = _per_epoch_measurements(state, scn.refs, scn.noise, plain)
+            got = [x[i] if x.ndim == 3 else x for x in (batch.body, batch.omega_meas)]
+            for g, e, p in zip(got, expected, (body, omega), strict=True):
+                assert g.shape == e.shape == p.shape
+                assert g.tobytes() == e.tobytes() == p.tobytes()
+        # Each generator drew what the per-epoch draws drew, nothing for a
+        # sensor without noise, and no more: the streams go on alike.
+        assert rngs[i].standard_normal() == public.standard_normal() == plain.standard_normal()

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 269 attkit CLI commands.
+"""Write the outputs of a fixed set of 301 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -41,7 +41,12 @@ The commands:
   a delta, a pi and a gamma that are not symmetric positive definite;
   ``propagate`` with an inertia that is not; and ``propagate`` and
   ``filter`` with init.omega given as a row-major skew matrix, and as one
-  that is not skew. They come last, for the same reason.
+  that is not skew. They come after the improper attitudes, for the same
+  reason;
+* runs of 10 epochs, two and a half of the simulator's 4-epoch noise draw
+  blocks (see ``_draw_blocks``): gyro noise alone and both noises, in both
+  potentials. On each: ``filter`` in both modes, and ``montecarlo`` in both
+  modes with ``--trials`` 1, 3 and 7. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -214,6 +219,17 @@ def _read_checks(rng):
     return files
 
 
+def _draw_blocks(rng):
+    """Run files of 10 epochs, which end inside the third of the simulator's
+    4-epoch noise draw blocks: gyro noise alone and both noises, with the
+    zero and a linear potential."""
+    return {
+        f"draws_{pot}_{noise}": _run_file(rng, potential=pot == "linear", noise=NOISES[noise],
+                                           schedule="regular", epochs=10)
+        for pot in ("zero", "linear") for noise in ("gyro", "both")
+    }
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -251,6 +267,8 @@ def commands(inputs):
     files.update(improper)
     read_checks = _read_checks(np.random.default_rng(20261023))
     files.update(read_checks)
+    draw_blocks = _draw_blocks(np.random.default_rng(20261024))
+    files.update(draw_blocks)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -298,6 +316,12 @@ def commands(inputs):
     for name in ("omega_skew", "omega_not_skew"):
         out.append((f"propagate_{name}", ["propagate", *cfg(name)]))
         out.append((f"filter_{name}", ["filter", *cfg(name)]))
+    for name in draw_blocks:  # after the read checks, for the same reason
+        for mode in MODES:
+            out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode]))
+            for trials in (1, 3, 7):
+                out.append((f"montecarlo_{name}_{mode}_{trials}",
+                            ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
     return out
 
 
