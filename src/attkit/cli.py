@@ -163,7 +163,8 @@ def _as_omega(x, name: str) -> np.ndarray:
     if arr.shape == (9,):
         arr = arr.reshape(3, 3)
     if arr.shape == (3, 3):
-        return so3.check_skew(arr)
+        with _section(name):
+            return so3.check_skew(arr)
     raise ConfigError(f"{name}: expected a 3-vector or row-major skew matrix")
 
 
@@ -222,14 +223,16 @@ def _parse_scenario(obj) -> ScenarioSpec:
     if not isinstance(noise, dict):
         raise ConfigError("scenario.noise: expected an object")
     with _section("scenario"):
+        state = BodyState(
+            t=_number(init.get("t", 0.0), "scenario.init.t"),
+            C=_as_rotation(init["attitude"], "scenario.init.attitude"),
+            Omega=_as_omega(init["omega"], "scenario.init.omega"),
+        )
+        refs = _as_rows3(obj["refs"], "scenario.refs")
+        with _section("scenario.inertia"):
+            inertia = InertiaSpec(_as_mat3(obj["inertia"], "scenario.inertia"))
         return ScenarioSpec(
-            init=BodyState(
-                t=_number(init.get("t", 0.0), "scenario.init.t"),
-                C=_as_rotation(init["attitude"], "scenario.init.attitude"),
-                Omega=_as_omega(init["omega"], "scenario.init.omega"),
-            ),
-            refs=_as_rows3(obj["refs"], "scenario.refs"),
-            inertia=InertiaSpec(_as_mat3(obj["inertia"], "scenario.inertia")),
+            init=state, refs=refs, inertia=inertia,
             potential=_parse_potential(obj.get("potential")),
             schedule=_parse_schedule(obj["schedule"]),
             noise=NoiseSpec(

@@ -9,10 +9,10 @@ G = dV/dC is G^T C - C^T G.
 
 Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
-4th-order Munthe-Kaas Runge-Kutta scheme. Every body, free or in a
-potential, is stepped on its attitude's nine components as plain floats (or
-(B,) arrays for B bodies) by one step loop, written out with no Python call
-per stage, and each step's update C exp(hat(th)) is one function of them.
+4th-order Munthe-Kaas Runge-Kutta scheme. One body is stepped on its
+attitude's nine components as floats, in a loop written out with no call
+per stage; B bodies in a loop of one numpy call per (3, B) or (9, B) vector
+operation, with the same float operations. C exp(hat(th)) is one function.
 """
 
 from __future__ import annotations
@@ -196,9 +196,8 @@ def _gradient_components(gradient, c):
     # An undeclared gradient at the attitude with components c, or at each
     # attitude of a stack, taken one 3x3 attitude at a time.
     C = so3._matrix(c)
-    return _components(
-        _gradient(gradient, C) if C.ndim == 2 else np.array([_gradient(gradient, m) for m in C])
-    )
+    G = _gradient(gradient, C) if C.ndim == 2 else [_gradient(gradient, m) for m in C]
+    return _components(G)
 
 
 def _components(C):
@@ -209,10 +208,14 @@ def _components(C):
 
 
 def _rotate(c, v):
-    # The components of C exp(hat(v)) from those of C: the one attitude
-    # update, at a potential's stages and at the end of every step.
+    # The components of C exp(hat(v)) from those of C, the one attitude update:
+    # on a stack one (9, B) array of the same sums, with C (9, 1) if shared.
+    e = so3._exp_components(*v)
+    if type(e) is not tuple:
+        c, e = np.reshape(c, (3, 3, -1)), e.reshape(3, 3, -1)
+        return (c[:, :1] * e[:1] + c[:, 1:2] * e[1:2] + c[:, 2:] * e[2:]).reshape(9, -1)
     x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-    e00, e01, e02, e10, e11, e12, e20, e21, e22 = so3._exp_components(*v)
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e
     return (
         x00 * e00 + x01 * e10 + x02 * e20,
         x00 * e01 + x01 * e11 + x02 * e21,
@@ -254,42 +257,34 @@ def propagate(
 def _advance(inertia, potential, C, w, span, h):
     # Steps (C, w) over span >= 0 with the Munthe-Kaas RK4 scheme: full steps
     # of h, then a partial step. The rate w is three floats, or three (B,)
-    # arrays for B bodies at once, whose fastest one the pi/4 guard checks.
-    # C moves on its components; its matrix is formed once, at the end. Each
-    # step is written out, since at 3-vector sizes calls cost as much as the
-    # arithmetic. For the same reason, on (B,) arrays every constant (the
-    # inertia's entries, a declared gradient's, 0.5, 2, 12 and each step
-    # length's dt, dt/2 and dt/6) is bound once per call as a 0-d array:
-    # numpy multiplies one into an array a third faster than a Python float,
-    # which it must convert first, and gives the same bits. A stage has rate
-    # u, attitude C exp(hat(s)) (formed only in a potential), a = dexpinv(s, u),
-    # and l = vee(Omegadot): K l = K u x u + moment. q and t sum the l and the
-    # a with weights 1, 2, 2, 1, left to right.
+    # arrays for B bodies, whose fastest one the pi/4 guard checks. One body
+    # runs the loop below, written out on floats, since at 3-vector sizes a
+    # call costs as much as the arithmetic. B bodies run _grouped_steps, one
+    # numpy call per vector operation, not per component, as a call costs
+    # much the same whatever B is. Every body sees the same float operations
+    # in the same order. C moves on its components; its matrix is formed
+    # once, at the end. A stage has rate u, attitude C exp(hat(s)) (formed
+    # only in a potential), a = dexpinv(s, u), and l = vee(Omegadot): K l =
+    # K u x u + moment. q and t sum the l and the a, weights 1, 2, 2, 1, in turn.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     if rem <= 1e-12 * max(1.0, abs(span)):
         rem = 0.0
-    stacked = getattr(w[0], "ndim", 0) > 0
-    k, i = inertia.classical.ravel().tolist(), inertia.classical_inv.ravel().tolist()
-    consts = (*k, *i, 0.5, 2.0, 12.0)
+    steps = ((h, n_full), (rem, int(rem > 0.0)))
+    if getattr(w[0], "ndim", 0) or C.ndim > 2:
+        return _grouped_steps(inertia, potential, C, w, steps)
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = inertia.classical.ravel().tolist()
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia.classical_inv.ravel().tolist()
     g = None if potential.coeff is None else potential.coeff.ravel().tolist()
     free, grad = g is not None and not any(g), potential.gradient
-    if stacked:
-        consts, g = [np.array(x) for x in consts], g and [np.array(x) for x in g]
-    (k00, k01, k02, k10, k11, k12, k20, k21, k22,
-     i00, i01, i02, i10, i11, i12, i20, i21, i22, half, two, twelve) = consts
     c = _components(C)
     w0, w1, w2 = w
-    for step, count in ((h, n_full), (rem, int(rem > 0.0))):
-        # dt, dt/2 and dt/6 of each distinct step length; the guard reads the float.
+    for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
-        if stacked:
-            dt, hh, sixth = np.array(dt), np.array(hh), np.array(sixth)
         for _ in range(count):
-            r2 = w0 * w0 + w1 * w1 + w2 * w2
-            wmag = math.sqrt(r2 if isinstance(r2, float) else r2.max())
+            wmag = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
             if wmag * step > MAX_STEP_ROTATION:
                 raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
             # Stage 1: u = a = w at C itself.
@@ -313,10 +308,10 @@ def _advance(inertia, potential, C, w, span, h):
             s0, s1, s2 = hh * w0, hh * w1, hh * w2
             u0, u1, u2 = w0 + hh * q0, w1 + hh * q1, w2 + hh * q2
             e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
-            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
-            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
-            t0, t1, t2 = w0 + two * a0, w1 + two * a1, w2 + two * a2
+            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+            t0, t1, t2 = w0 + 2.0 * a0, w1 + 2.0 * a1, w2 + 2.0 * a2
             m0 = k00 * u0 + k01 * u1 + k02 * u2
             m1 = k10 * u0 + k11 * u1 + k12 * u2
             m2 = k20 * u0 + k21 * u1 + k22 * u2
@@ -330,15 +325,15 @@ def _advance(inertia, potential, C, w, span, h):
             l0 = i00 * d0 + i01 * d1 + i02 * d2
             l1 = i10 * d0 + i11 * d1 + i12 * d2
             l2 = i20 * d0 + i21 * d1 + i22 * d2
-            q0, q1, q2 = q0 + two * l0, q1 + two * l1, q2 + two * l2
+            q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
             # Stage 3: s = h/2 a.
             s0, s1, s2 = hh * a0, hh * a1, hh * a2
             u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
             e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
-            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
-            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
-            t0, t1, t2 = t0 + two * a0, t1 + two * a1, t2 + two * a2
+            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+            t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
             m0 = k00 * u0 + k01 * u1 + k02 * u2
             m1 = k10 * u0 + k11 * u1 + k12 * u2
             m2 = k20 * u0 + k21 * u1 + k22 * u2
@@ -352,14 +347,14 @@ def _advance(inertia, potential, C, w, span, h):
             l0 = i00 * d0 + i01 * d1 + i02 * d2
             l1 = i10 * d0 + i11 * d1 + i12 * d2
             l2 = i20 * d0 + i21 * d1 + i22 * d2
-            q0, q1, q2 = q0 + two * l0, q1 + two * l1, q2 + two * l2
+            q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
             # Stage 4: s = h a.
             s0, s1, s2 = dt * a0, dt * a1, dt * a2
             u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
             e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + half * e0 + (s1 * e2 - s2 * e1) / twelve
-            a1 = u1 + half * e1 + (s2 * e0 - s0 * e2) / twelve
-            a2 = u2 + half * e2 + (s0 * e1 - s1 * e0) / twelve
+            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
             t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
             m0 = k00 * u0 + k01 * u1 + k02 * u2
             m1 = k10 * u0 + k11 * u1 + k12 * u2
@@ -378,6 +373,59 @@ def _advance(inertia, potential, C, w, span, h):
             c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
             w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
     return so3._matrix(c), (w0, w1, w2)
+
+
+# Rows i+1, i+2, i+2, i+1 (mod 3): taken of two vectors, or of C's and G's
+# columns, their products hold the two halves of a x b and vee(G^T C - C^T G).
+_NP, _PN = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+_REP = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])  # u's rows, one per column of K in K u
+
+
+def _cross(a, b):
+    p = a.take(_NP, 0) * b.take(_PN, 0)
+    return p[:3] - p[3:]
+
+
+def _grouped_steps(inertia, potential, C, w, steps):
+    # _advance's loop for B bodies: each vector one (3, B) array, shared rates
+    # broadcast; the attitude's components one (9, B) array, or (9, 1) if shared.
+    c = np.asarray(C, dtype=float).reshape(-1, 9).T
+    W = np.broadcast_arrays(np.array(w, dtype=float).reshape(3, -1), c[:3])[0]
+    K, K_inv = inertia.classical.T.reshape(9, 1), inertia.classical_inv.T.reshape(9, 1)
+    G, grad = potential.coeff, potential.gradient
+    free = G is not None and not G.any()
+
+    def rate(u, x):  # l at rate u and, in a potential, attitude components x
+        m = K * u.take(_REP, 0)
+        d = _cross(m[:3] + m[3:6] + m[6:], u)
+        if not free:
+            Gx = G if G is not None else np.array(_gradient_components(grad, x))
+            p = Gx.reshape(3, 3, -1).take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
+            p = p[0] + p[1] + p[2]
+            d = d + (p[:3] - p[3:])
+        d = K_inv * d.take(_REP, 0)
+        return d[:3] + d[3:6] + d[6:]
+
+    for step, count in steps:
+        dt, hh, sixth = step, 0.5 * step, step / 6.0
+        for _ in range(count):
+            r2 = W * W
+            wmag = math.sqrt((r2[0] + r2[1] + r2[2]).max())
+            if wmag * step > MAX_STEP_ROTATION:
+                raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
+            # Stage 1 at C itself; then s = h/2 w, h/2 a and h a, as above.
+            q = l = rate(W, c)
+            a = t = W
+            for f, last in ((hh, False), (hh, False), (dt, True)):
+                s, u = f * a, W + f * l
+                e = _cross(s, u)
+                a = u + 0.5 * e + _cross(s, e) / 12.0
+                t = t + a if last else t + 2.0 * a
+                l = rate(u, None if free else _rotate(c, s))
+                q = q + l if last else q + 2.0 * l
+            c = _rotate(c, sixth * t)
+            W = W + sixth * q
+    return so3._matrix(np.broadcast_to(c, (9, W.shape[1]))), tuple(W)
 
 
 @dataclass(frozen=True)

@@ -238,10 +238,9 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
             est = initial_estimate(batch, C0, Omega0)
         else:
             w = so3.vee(est.Omega_plus)
-            C_minus, w = _advance(
-                inertia, potential, so3.check_rotation(est.C_plus),
-                w.tolist() if w.ndim == 1 else tuple(w), batch.t - est.t, cfg.integrator.step,
-            )
+            w = w.tolist() if w.ndim == 1 else tuple(w)
+            span = batch.t - est.t
+            C_minus, w = _advance(inertia, potential, est.C_plus, w, span, cfg.integrator.step)
             # The checks a propagated body state gets.
             C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
             C_plus = update_attitude(C_minus, batch, cfg)

@@ -73,27 +73,34 @@ def _exp_vec(w) -> np.ndarray:
 
 def _exp_components(x, y, z):
     # exp(hat(w)) = I + a hat(w) + b hat(w)^2 as its nine entries, row by
-    # row, with a = sin(t)/t and b = (1 - cos(t))/t^2 at t^2 = |w|^2: on
-    # plain floats, or on equally shaped arrays for a stack, elementwise. A
-    # series branch below t = 1e-6 avoids the 0/0. math's sqrt, sin and cos
-    # round as numpy's do, so a stack's entries equal one rotation's bit for
-    # bit.
-    xx, yy, zz = x * x, y * y, z * z
-    t2 = xx + yy + zz
-    if not getattr(t2, "ndim", 0):
-        t = math.sqrt(t2)
-        if t < 1e-6:
-            a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
-        elif t == math.inf:  # math's sin and cos raise here, numpy's give NaN
-            a = b = math.nan
-        else:
-            a, b = math.sin(t) / t, (1.0 - math.cos(t)) / t2
-    else:
+    # row, with a = sin(t)/t and b = (1 - cos(t))/t^2 at t^2 = |w|^2: a
+    # tuple of plain floats, or for a stack of (B,) arrays one (9, B) array
+    # whose grouped rows see the same operations. A series branch below
+    # t = 1e-6 avoids the 0/0. math's sqrt, sin and cos round as numpy's
+    # do, so a stack's entries equal one rotation's bit for bit.
+    if getattr(x, "ndim", 0):
+        w = np.array((x, y, z, x, y))  # cyclic: w[1:4] is y, z, x
+        sq = w * w
+        t2 = sq[0] + sq[1] + sq[2]
         t = np.sqrt(t2)
         small = t < 1e-6
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
-            b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / t2)
+            a, b = np.sin(t) / t, (1.0 - np.cos(t)) / t2
+            if small.any():
+                a, b = np.where(small, 1.0 - t2 / 6.0, a), np.where(small, 0.5 - t2 / 24.0, b)
+        # Entries 00, 11, 22, then 01, 12, 20, then 10, 21, 02, each a cyclic shift
+        # of the first (two sums and products swap operands: exact), then row-major.
+        bp, aw = b * (w[:3] * w[1:4]), a * w[2:]
+        return np.concatenate((1.0 - b * (sq[1:4] + sq[2:]), bp - aw, bp + aw)).take(_ROW_MAJOR, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
+    t = math.sqrt(t2)
+    if t < 1e-6:
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    elif t == math.inf:  # math's sin and cos raise here, numpy's give NaN
+        a = b = math.nan
+    else:
+        a, b = math.sin(t) / t, (1.0 - math.cos(t)) / t2
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
     ax, ay, az = a * x, a * y, a * z
     return (
@@ -101,6 +108,9 @@ def _exp_components(x, y, z):
         bxy + az, 1.0 - b * (xx + zz), byz - ax,
         bxz - ay, byz + ax, 1.0 - b * (xx + yy),
     )
+
+
+_ROW_MAJOR = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
 
 
 def _matrix(c):

@@ -543,7 +543,7 @@ def test_skew_matrix_initial_rate_runs_as_its_vector(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["propagate", "filter"])
 @pytest.mark.parametrize("omega, message", [
     ([0.0, -0.9, -0.5, 1.0, 0.0, -0.8, 0.5, 0.8, 0.0],
-     "scenario: symmetry residual 1.000e-01 exceeds 1.0e-12"),
+     "scenario.init.omega: symmetry residual 1.000e-01 exceeds 1.0e-12"),
     ([0.8, -0.5, 1.0, 0.0],
      "scenario.init.omega: expected a 3-vector or row-major skew matrix"),
 ], ids=["not-skew", "4-vector"])
@@ -552,6 +552,37 @@ def test_malformed_initial_rate_exits_2(tmp_path, capsys, command, omega, messag
     cfg["scenario"]["init"]["omega"] = omega
     assert cli.main(_argv(command, _write(tmp_path, "bo.json", cfg))) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize("inertia, message", [
+    ([2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -0.5], "smallest eigenvalue -0.5 is not positive"),
+    ([1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "symmetry residual 5.000e-01 exceeds 1.0e-12"),
+], ids=["negative", "not-symmetric"])
+def test_inertia_not_spd_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, inertia,
+                                           message):
+    cfg = _run_file(inertia=inertia)
+    monkeypatch.setattr(simulate, "gen_truth", lambda *a: pytest.fail("truth propagated"))
+    assert cli.main(_argv(command, _write(tmp_path, "in.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: scenario.inertia: {message}\n"
+
+
+def test_scenario_fields_are_checked_in_order(tmp_path, capsys):
+    # init.omega is checked before refs, and refs before the inertia.
+    edits = [
+        (lambda scn: scn["init"].update(omega=[0.0, -0.9, -0.5, 1.0, 0.0, -0.8, 0.5, 0.8, 0.0]),
+         "scenario.init.omega: symmetry residual 1.000e-01 exceeds 1.0e-12"),
+        (lambda scn: scn.update(refs=[[1.0, 0.0]] * 2),
+         "scenario.refs: expected 3 row arrays, got shape (2, 2)"),
+        (lambda scn: scn.update(inertia=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]),
+         "scenario.inertia: smallest eigenvalue -1.0 is not positive"),
+    ]
+    for first, (_, message) in enumerate(edits):
+        cfg = _run_file()
+        for edit, _ in edits[first:]:
+            edit(cfg["scenario"])
+        assert cli.main(_argv("propagate", _write(tmp_path, "so.json", cfg))) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _drop(obj, key):

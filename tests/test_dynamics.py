@@ -1,4 +1,5 @@
 import collections
+import math
 import re
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from attkit.dynamics import (
     BodyState,
     InertiaSpec,
     IntegratorConfig,
+    PotentialModel,
     euler_rhs,
     j_apply,
     j_solve,
@@ -391,6 +393,87 @@ def test_free_body_propagation_memory_is_bounded():
         tracemalloc.stop()
     assert end.t == 5.0 and C.shape == (50, 3, 3)
     assert one < 1e6 and stacked < 1e6
+
+
+# ---------------------------------------------------------------------------
+# the grouped step loop of B bodies
+
+_P = np.array([[0.6, -0.1, 0.3], [-0.1, 0.8, 0.0], [0.3, 0.0, -1.0]])
+_D = np.diag([1.0, 2.0, 3.0])
+
+
+def _stack(rng, B):
+    # B random attitudes and B rates, the rates as three (B,) arrays
+    C = np.array([so3.random_rotation(rng) for _ in range(B)])
+    return C, tuple(rng.normal(size=(3, B)))
+
+
+def _one(w, k):
+    return [float(x[k]) for x in w]
+
+
+@pytest.mark.parametrize("potential", [zero_potential(), linear_potential(_P)],
+                         ids=["free", "linear"])
+def test_grouped_step_guard_names_the_fastest_trial(potential):
+    # One trial of 100 over the pi/4 guard stops the stack, with the message
+    # that trial's own run gives: the step and its rate.
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    C, w = _stack(np.random.default_rng(41), 100)
+    w[0][63], w[1][63], w[2][63] = 60.0, -45.0, 20.0
+    with pytest.raises(StepTooLarge) as one:
+        dynamics._advance(spec, potential, C[63], _one(w, 63), 0.2, 0.02)
+    rate = math.sqrt(60.0**2 + 45.0**2 + 20.0**2)
+    assert str(one.value) == f"step 0.02 at rate {rate:.3f} rad/s exceeds the pi/4 guard"
+    with pytest.raises(StepTooLarge) as stacked:
+        dynamics._advance(spec, potential, C, w, 0.2, 0.02)
+    assert str(stacked.value) == str(one.value)
+
+
+_UNDECLARED = PotentialModel(value=lambda C: 0.0, gradient=lambda C: _P @ C @ _D)
+
+
+@pytest.mark.parametrize("potential", [zero_potential(), linear_potential(_P), _UNDECLARED],
+                         ids=["free", "linear", "undeclared"])
+def test_grouped_step_nan_rate_leaves_every_other_trial_alone(potential):
+    # A NaN rate passes the guard, as the fastest rate is then NaN, and
+    # stays in its own lane: the other 99 trials equal their own runs bit
+    # for bit.
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    C, w = _stack(np.random.default_rng(42), 100)
+    w[1][17] = np.nan
+    C_all, w_all = dynamics._advance(spec, potential, C, w, 0.0525, 5e-3)
+    assert np.isnan(C_all[17]).all() and all(np.isnan(x[17]) for x in w_all)
+    for k in set(range(100)) - {17}:
+        C1, w1 = dynamics._advance(spec, potential, C[k], _one(w, k), 0.0525, 5e-3)
+        assert np.array_equal(C_all[k], C1)
+        assert _one(w_all, k) == list(w1)
+
+
+@pytest.mark.parametrize("layout", ["stacked", "shared attitude"])
+def test_grouped_step_calls_an_undeclared_gradient_as_the_float_loop_does(layout):
+    # Once per stage and trial, one 3x3 attitude at a time, stage by stage
+    # and within a stage trial by trial, at the attitudes each trial's own
+    # run passes. While every rate shares one attitude, its first stage
+    # takes the gradient once.
+    spec = InertiaSpec(np.diag([1.0, 2.0, 3.0]))
+    C, w = _stack(np.random.default_rng(43), 100)
+    if layout == "shared attitude":
+        C = C[0]
+    calls = []
+    pot = PotentialModel(value=lambda C: 0.0,
+                         gradient=lambda C: calls.append(C.copy()) or _P @ C @ _D)
+    runs = []
+    for k in range(100):
+        dynamics._advance(spec, pot, C if C.ndim == 2 else C[k], _one(w, k), 0.0125, 5e-3)
+        runs.append(calls[:])
+        calls.clear()
+    assert {len(run) for run in runs} == {12}  # 2 full steps and a partial one, 4 stages each
+    expected = [run[j] for j in range(12) for run in runs]
+    if layout == "shared attitude":
+        expected = expected[99:]
+    dynamics._advance(spec, pot, C, w, 0.0125, 5e-3)
+    assert len(calls) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, expected))
 
 
 # ---------------------------------------------------------------------------

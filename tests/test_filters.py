@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from attkit import so3, wahba
+from attkit import filters, so3, wahba
 from attkit.dynamics import BodyState, InertiaSpec, IntegratorConfig, propagate, zero_potential
-from attkit.errors import InconsistentUpdate, MissingGyro, NotSkew
+from attkit.errors import InconsistentUpdate, MissingGyro, NotRotation, NotSkew
 from attkit.filters import (
     FilterConfig,
     FilterEstimate,
@@ -409,3 +409,18 @@ def test_run_filter_rejects_an_initial_estimate_at_another_time():
     late = FilterEstimate(est.t + 1e-3, est.C_minus, est.C_plus, est.Omega_minus, est.Omega_plus)
     with pytest.raises(ValueError, match="^initial estimate time .* does not match first epoch"):
         run_filter(late, batches, scn.inertia, scn.potential, cfg)
+
+
+@pytest.mark.parametrize("C_plus", [1.001 * np.eye(3), np.diag([1.0, 1.0, -1.0])],
+                         ids=["not-orthogonal", "reflection"])
+def test_run_filter_rejects_a_non_rotation_initial_attitude_before_propagating(
+        monkeypatch, C_plus):
+    # The epoch loop propagates each plus attitude unchecked: every one after
+    # the first is a polar factor, and the first is checked as the start.
+    scn = _scenario(count=3)
+    _, batches = simulate_scenario(scn)
+    est = initial_estimate(batches[0])
+    bad = FilterEstimate(est.t, C_plus, C_plus, est.Omega_minus, est.Omega_plus)
+    monkeypatch.setattr(filters, "_advance", lambda *a: pytest.fail("propagated"))
+    with pytest.raises(NotRotation):
+        run_filter(bad, batches, scn.inertia, scn.potential, FilterConfig())

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 301 attkit CLI commands.
+"""Write the outputs of a fixed set of 303 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -46,7 +46,11 @@ The commands:
 * runs of 10 epochs, two and a half of the simulator's 4-epoch noise draw
   blocks (see ``_draw_blocks``): gyro noise alone and both noises, in both
   potentials. On each: ``filter`` in both modes, and ``montecarlo`` in both
-  modes with ``--trials`` 1, 3 and 7. They come last, for the same reason.
+  modes with ``--trials`` 1, 3 and 7. They come after the read checks, for
+  the same reason;
+* a campaign of 100 trials in a linear potential with both noises (see
+  ``_grouped_potential``): ``montecarlo --trials 100`` in both modes. It
+  comes last, for the same reason.
 """
 
 from __future__ import annotations
@@ -230,6 +234,14 @@ def _draw_blocks(rng):
     }
 
 
+def _grouped_potential(rng):
+    """A run file for a 100-trial campaign in a linear potential with vector
+    and gyro noise: every trial's attitude and rate differ from the first
+    step, and the potential's moment is taken on all of them at once."""
+    return {"grouped_linear_both": _run_file(rng, potential=True, noise=NOISES["both"],
+                                             schedule="regular")}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -269,6 +281,8 @@ def commands(inputs):
     files.update(read_checks)
     draw_blocks = _draw_blocks(np.random.default_rng(20261024))
     files.update(draw_blocks)
+    grouped = _grouped_potential(np.random.default_rng(20261025))
+    files.update(grouped)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -322,6 +336,10 @@ def commands(inputs):
             for trials in (1, 3, 7):
                 out.append((f"montecarlo_{name}_{mode}_{trials}",
                             ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
+    for name in grouped:  # after the draw blocks, for the same reason
+        for mode in MODES:
+            out.append((f"montecarlo_{name}_{mode}_100",
+                        ["montecarlo", *cfg(name), "--mode", mode, "--trials", "100"]))
     return out
 
 
