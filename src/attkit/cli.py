@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import reference_case, so3, wahba
+from . import reference_case, simulate, so3, wahba
 from .dynamics import (
     BodyState,
     InertiaSpec,
@@ -75,37 +75,54 @@ def _fmt_matrix(M) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing: every number in a config passes _finite or _finite_int as
-# the file is read, then _number (scalars) or _array (arrays).
+# config parsing: every number in a config is checked to be finite as the
+# file is read, then passes _number (scalars) or _array (arrays).
 
-def _finite(text: str) -> float:
-    # json hook for NaN, Infinity and number literals that overflow a float.
-    x = float(text)
-    if not math.isfinite(x):
-        raise ConfigError(f"non-finite number {text} in config")
-    return x
-
-
-def _finite_int(text: str) -> int:
-    _finite(text)
-    return int(text)
+class _NonFinite(str):
+    """A number literal that is NaN or infinite as a float, kept as its text."""
 
 
 def _load_config(path: str) -> dict:
+    bad = []
+
+    def number(text, integer=False):  # json hook for every number literal
+        x = float(text)
+        if math.isfinite(x):
+            return int(text) if integer else x
+        bad.append(text)
+        return _NonFinite(text)
+
     try:
         with open(path) as fh:
-            cfg = json.load(
-                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
-            )
+            cfg = json.load(fh, parse_float=number, parse_int=lambda text: number(text, True),
+                            parse_constant=number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if bad:  # a duplicate key can drop one from cfg: then it has no path
+        raise ConfigError(_non_finite_path(cfg) or f"non-finite number {bad[0]} in config")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if cfg.get("schema") != 1:
         raise ConfigError("config must declare \"schema\": 1")
     return cfg
+
+
+def _non_finite_path(cfg):
+    # "path: non-finite number text" for the first _NonFinite in cfg, in file
+    # order, such as scenario.inertia[4]; a loop, as json nests deeper than
+    # Python recurses.
+    stack = [("", cfg)]
+    while stack:
+        path, obj = stack.pop()
+        if type(obj) is _NonFinite:
+            return f"{path or 'config'}: non-finite number {obj}"
+        items = (obj.items() if isinstance(obj, dict) else enumerate(obj)
+                 if isinstance(obj, list) else ())
+        stack += reversed([(f"{path}[{k}]" if type(k) is int else f"{path}.{k}" if path else k, v)
+                           for k, v in items])
+    return None
 
 
 def _number(x, name: str, integer: bool = False):
@@ -195,19 +212,21 @@ def _parse_potential(obj) -> PotentialModel:
     raise ConfigError(f"potential: unknown type {kind!r}")
 
 
-def _parse_schedule(obj) -> np.ndarray:
+def _parse_schedule(obj, t0: float) -> np.ndarray:
     if isinstance(obj, dict) and "times" in obj:
-        times = _array(obj["times"], "schedule.times")
+        key, times = "times", _array(obj["times"], "schedule.times")
     elif isinstance(obj, dict) and {"start", "dt", "count"} <= set(obj):
         start, dt = (_number(obj[key], f"schedule.{key}") for key in ("start", "dt"))
+        key = "count"
         times = start + dt * np.arange(_number(obj["count"], "schedule.count", integer=True))
     else:
         raise ConfigError(
             "schedule: expected {\"times\": [...]} or {\"start\", \"dt\", \"count\"}"
         )
     if times.size == 0:
-        raise ConfigError("schedule: no epochs")
-    return times
+        raise ConfigError(f"scenario.schedule.{key}: no epochs")
+    with _section("scenario.schedule"):
+        return simulate._check_schedule(times, t0)
 
 
 def _parse_scenario(obj) -> ScenarioSpec:
@@ -231,15 +250,17 @@ def _parse_scenario(obj) -> ScenarioSpec:
         refs = _as_rows3(obj["refs"], "scenario.refs")
         with _section("scenario.inertia"):
             inertia = InertiaSpec(_as_mat3(obj["inertia"], "scenario.inertia"))
-        return ScenarioSpec(
-            init=state, refs=refs, inertia=inertia,
-            potential=_parse_potential(obj.get("potential")),
-            schedule=_parse_schedule(obj["schedule"]),
-            noise=NoiseSpec(
+        potential = _parse_potential(obj.get("potential"))
+        schedule = _parse_schedule(obj["schedule"], state.t)
+        with _section("scenario.noise"):
+            noise = NoiseSpec(
                 sigma_vec=_number(noise.get("sigma_vec", 0.0), "scenario.noise.sigma_vec"),
                 sigma_gyro=_number(noise.get("sigma_gyro", 0.0), "scenario.noise.sigma_gyro"),
                 seed=_number(noise.get("seed", 0), "scenario.noise.seed", integer=True),
-            ),
+            )
+        return ScenarioSpec(
+            init=state, refs=refs, inertia=inertia, potential=potential, schedule=schedule,
+            noise=noise,
         )
 
 

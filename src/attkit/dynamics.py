@@ -12,7 +12,8 @@ multiplications by exponentials of so(3) increments computed with a
 4th-order Munthe-Kaas Runge-Kutta scheme. One body is stepped on its
 attitude's nine components as floats, in a loop written out with no call
 per stage; B bodies in a loop of one numpy call per (3, B) or (9, B) vector
-operation, with the same float operations. C exp(hat(th)) is one function.
+operation, with the same float operations. Both form C exp(hat(th)) with
+one function, so3._rotate, which holds the one Rodrigues formula.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import so3
 from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
+from .so3 import _components, _rotate
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
@@ -200,35 +202,6 @@ def _gradient_components(gradient, c):
     return _components(G)
 
 
-def _components(C):
-    # The nine entries of a 3x3 attitude, row by row, as floats; of a stack
-    # (B, 3, 3), as nine (B,) arrays.
-    C = np.asarray(C, dtype=float)
-    return tuple(C.ravel().tolist()) if C.ndim == 2 else tuple(C.reshape(-1, 9).T)
-
-
-def _rotate(c, v):
-    # The components of C exp(hat(v)) from those of C, the one attitude update:
-    # on a stack one (9, B) array of the same sums, with C (9, 1) if shared.
-    e = so3._exp_components(*v)
-    if type(e) is not tuple:
-        c, e = np.reshape(c, (3, 3, -1)), e.reshape(3, 3, -1)
-        return (c[:, :1] * e[:1] + c[:, 1:2] * e[1:2] + c[:, 2:] * e[2:]).reshape(9, -1)
-    x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e
-    return (
-        x00 * e00 + x01 * e10 + x02 * e20,
-        x00 * e01 + x01 * e11 + x02 * e21,
-        x00 * e02 + x01 * e12 + x02 * e22,
-        x10 * e00 + x11 * e10 + x12 * e20,
-        x10 * e01 + x11 * e11 + x12 * e21,
-        x10 * e02 + x11 * e12 + x12 * e22,
-        x20 * e00 + x21 * e10 + x22 * e20,
-        x20 * e01 + x21 * e11 + x22 * e21,
-        x20 * e02 + x21 * e12 + x22 * e22,
-    )
-
-
 def propagate(
     state: BodyState,
     inertia: InertiaSpec,
@@ -259,13 +232,16 @@ def _advance(inertia, potential, C, w, span, h):
     # of h, then a partial step. The rate w is three floats, or three (B,)
     # arrays for B bodies, whose fastest one the pi/4 guard checks. One body
     # runs the loop below, written out on floats, since at 3-vector sizes a
-    # call costs as much as the arithmetic. B bodies run _grouped_steps, one
-    # numpy call per vector operation, not per component, as a call costs
-    # much the same whatever B is. Every body sees the same float operations
-    # in the same order. C moves on its components; its matrix is formed
-    # once, at the end. A stage has rate u, attitude C exp(hat(s)) (formed
-    # only in a potential), a = dexpinv(s, u), and l = vee(Omegadot): K l =
-    # K u x u + moment. q and t sum the l and the a, weights 1, 2, 2, 1, in turn.
+    # call costs as much as the arithmetic; a free body's one call per step
+    # is the attitude update so3._rotate. Stages 2 and 3 (step h/2, weight 2)
+    # are two passes of one loop; stage 4 (h, weight 1) measured faster apart.
+    # B bodies run _grouped_steps, one numpy call per vector operation, not
+    # per component, as a call costs much the same whatever B is. Every body
+    # sees the same float operations in the same order. C moves on its
+    # components; its matrix is formed once, at the end. A stage has rate u,
+    # attitude C exp(hat(s)) (formed only in a potential), a = dexpinv(s, u),
+    # and l = vee(Omegadot): K l = K u x u + moment. q and t sum the l and
+    # the a, weights 1, 2, 2, 1, in turn.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
@@ -299,55 +275,36 @@ def _advance(inertia, potential, C, w, span, h):
                 d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
                 d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
                 d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-            q0 = i00 * d0 + i01 * d1 + i02 * d2
-            q1 = i10 * d0 + i11 * d1 + i12 * d2
-            q2 = i20 * d0 + i21 * d1 + i22 * d2
-            # Stage 2: s = h/2 w. dexpinv(s, u) = u + 1/2 s x u + 1/12 s x (s x u),
-            # truncated at the order RK4 needs. The plus sign on the first
-            # commutator matters: the minus variant drops the scheme to 2nd order.
-            s0, s1, s2 = hh * w0, hh * w1, hh * w2
-            u0, u1, u2 = w0 + hh * q0, w1 + hh * q1, w2 + hh * q2
-            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-            t0, t1, t2 = w0 + 2.0 * a0, w1 + 2.0 * a1, w2 + 2.0 * a2
-            m0 = k00 * u0 + k01 * u1 + k02 * u2
-            m1 = k10 * u0 + k11 * u1 + k12 * u2
-            m2 = k20 * u0 + k21 * u1 + k22 * u2
-            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-            if not free:
-                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
             l0 = i00 * d0 + i01 * d1 + i02 * d2
             l1 = i10 * d0 + i11 * d1 + i12 * d2
             l2 = i20 * d0 + i21 * d1 + i22 * d2
-            q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
-            # Stage 3: s = h/2 a.
-            s0, s1, s2 = hh * a0, hh * a1, hh * a2
-            u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
-            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-            t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
-            m0 = k00 * u0 + k01 * u1 + k02 * u2
-            m1 = k10 * u0 + k11 * u1 + k12 * u2
-            m2 = k20 * u0 + k21 * u1 + k22 * u2
-            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-            if not free:
-                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-            l0 = i00 * d0 + i01 * d1 + i02 * d2
-            l1 = i10 * d0 + i11 * d1 + i12 * d2
-            l2 = i20 * d0 + i21 * d1 + i22 * d2
-            q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
+            q0, q1, q2 = l0, l1, l2
+            a0, a1, a2 = t0, t1, t2 = w0, w1, w2
+            # Stages 2 and 3: s = h/2 w, then h/2 a. dexpinv(s, u) = u + 1/2 s x u
+            # + 1/12 s x (s x u), truncated at the order RK4 needs. The plus sign on
+            # the first commutator matters: the minus one drops the scheme to order 2.
+            for _ in (2, 3):
+                s0, s1, s2 = hh * a0, hh * a1, hh * a2
+                u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
+                e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
+                a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
+                a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
+                a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
+                t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
+                m0 = k00 * u0 + k01 * u1 + k02 * u2
+                m1 = k10 * u0 + k11 * u1 + k12 * u2
+                m2 = k20 * u0 + k21 * u1 + k22 * u2
+                d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
+                if not free:
+                    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
+                    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
+                    d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                    d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                    d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+                l0 = i00 * d0 + i01 * d1 + i02 * d2
+                l1 = i10 * d0 + i11 * d1 + i12 * d2
+                l2 = i20 * d0 + i21 * d1 + i22 * d2
+                q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
             # Stage 4: s = h a.
             s0, s1, s2 = dt * a0, dt * a1, dt * a2
             u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
@@ -399,7 +356,7 @@ def _grouped_steps(inertia, potential, C, w, steps):
         m = K * u.take(_REP, 0)
         d = _cross(m[:3] + m[3:6] + m[6:], u)
         if not free:
-            Gx = G if G is not None else np.array(_gradient_components(grad, x))
+            Gx = G if G is not None else _gradient_components(grad, x)
             p = Gx.reshape(3, 3, -1).take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
             p = p[0] + p[1] + p[2]
             d = d + (p[:3] - p[3:])

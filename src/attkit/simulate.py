@@ -38,8 +38,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma_vec < math.inf and 0.0 <= self.sigma_gyro < math.inf):
-            raise ValueError("noise standard deviations must be finite and non-negative")
+        for name, sigma in (("sigma_vec", self.sigma_vec), ("sigma_gyro", self.sigma_gyro)):
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +59,19 @@ class ScenarioSpec:
         if refs.ndim != 2:
             raise ShapeMismatch(f"scenario refs: expected one 3xn set, got {refs.shape}")
         object.__setattr__(self, "refs", refs)
-        sched = np.asarray(self.schedule, dtype=float)
-        if sched.ndim != 1:
-            raise ValueError("schedule must be a 1-d sequence of times")
-        if sched.size and (np.diff(sched) <= 0.0).any():
-            raise ValueError("schedule times must be strictly increasing")
-        if sched.size and sched[0] < self.init.t:
-            raise ValueError("schedule starts before the initial state time")
-        object.__setattr__(self, "schedule", sched)
+        object.__setattr__(self, "schedule", _check_schedule(self.schedule, self.init.t))
+
+
+def _check_schedule(times, t0):
+    # Epoch times after an initial state at t0, as a float array.
+    sched = np.asarray(times, dtype=float)
+    if sched.ndim != 1:
+        raise ValueError("schedule must be a 1-d sequence of times")
+    if sched.size and (np.diff(sched) <= 0.0).any():
+        raise ValueError("schedule times must be strictly increasing")
+    if sched.size and sched[0] < t0:
+        raise ValueError("schedule starts before the initial state time")
+    return sched
 
 
 def gen_truth(scn: ScenarioSpec, cfg: IntegratorConfig | None = None) -> list[BodyState]:

@@ -7,7 +7,10 @@ relies on. All functions are pure.
 Most functions also take a stack of B problems on a leading axis:
 matrices of shape (B, 3, 3), and vectors of shape (3, B), whose three
 components are (B,) arrays. A validator raises if any matrix of a stack
-fails.
+fails. The integrator carries an attitude as its nine components, row by
+row: floats for one, a (9, B) array for B. _rotate updates them to those of
+C exp(hat(v)), with the one Rodrigues formula; the exponential map is the
+update of the identity.
 """
 
 from __future__ import annotations
@@ -41,18 +44,8 @@ def hat(v) -> np.ndarray:
 
 def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Inverse of hat. Raises NotSkew if X is not skew within tol."""
-    Xt = _skew(X, tol).T  # stack axis last: Xt[j, i] is X[:, i, j]
+    Xt = check_skew(X, tol).T  # stack axis last: Xt[j, i] is X[:, i, j]
     return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
-
-
-def _skew(X, tol):  # X as a float array: the shape and skewness check vee and check_skew share
-    X = np.asarray(X, dtype=float)
-    if X.shape[-2:] != (3, 3):
-        raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
-    resid = np.abs(X + X.mT).max()
-    if not resid <= tol:  # NaN fails
-        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
-    return X
 
 
 def exp_so3(X) -> np.ndarray:
@@ -66,18 +59,22 @@ def exp_so3(X) -> np.ndarray:
 
 
 def _exp_vec(w) -> np.ndarray:
-    # Rodrigues formula in axis-angle coordinates; w is a plain 3-sequence,
-    # or three equally shaped arrays for a stack of rotations.
-    return _matrix(_exp_components(*w))
+    # Rodrigues formula in axis-angle coordinates, as the update of the
+    # identity's components; w is a plain 3-sequence, or a (3, B) stack.
+    return _matrix(_rotate(_IDENTITY, w))
 
 
-def _exp_components(x, y, z):
-    # exp(hat(w)) = I + a hat(w) + b hat(w)^2 as its nine entries, row by
-    # row, with a = sin(t)/t and b = (1 - cos(t))/t^2 at t^2 = |w|^2: a
-    # tuple of plain floats, or for a stack of (B,) arrays one (9, B) array
-    # whose grouped rows see the same operations. A series branch below
-    # t = 1e-6 avoids the 0/0. math's sqrt, sin and cos round as numpy's
-    # do, so a stack's entries equal one rotation's bit for bit.
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _rotate(c, v):
+    # The components of C exp(hat(v)) from the components c of C: the one
+    # attitude update. exp(hat(v)) = I + a hat(v) + b hat(v)^2 with a =
+    # sin(t)/t and b = (1 - cos(t))/t^2 at t^2 = |v|^2; a series branch below
+    # t = 1e-6 avoids the 0/0. c and v are floats, or for B bodies a (9, B)
+    # array, (9, 1) if shared, and a (3, B) one, whose columns see the same
+    # operations: math's sqrt, sin and cos round as numpy's do.
+    x, y, z = v
     if getattr(x, "ndim", 0):
         w = np.array((x, y, z, x, y))  # cyclic: w[1:4] is y, z, x
         sq = w * w
@@ -91,7 +88,9 @@ def _exp_components(x, y, z):
         # Entries 00, 11, 22, then 01, 12, 20, then 10, 21, 02, each a cyclic shift
         # of the first (two sums and products swap operands: exact), then row-major.
         bp, aw = b * (w[:3] * w[1:4]), a * w[2:]
-        return np.concatenate((1.0 - b * (sq[1:4] + sq[2:]), bp - aw, bp + aw)).take(_ROW_MAJOR, 0)
+        e = np.concatenate((1.0 - b * (sq[1:4] + sq[2:]), bp - aw, bp + aw)).take(_ROW_MAJOR, 0)
+        c, e = np.reshape(c, (3, 3, -1)), e.reshape(3, 3, -1)
+        return (c[:, :1] * e[:1] + c[:, 1:2] * e[1:2] + c[:, 2:] * e[2:]).reshape(9, -1)
     xx, yy, zz = x * x, y * y, z * z
     t2 = xx + yy + zz
     t = math.sqrt(t2)
@@ -103,10 +102,20 @@ def _exp_components(x, y, z):
         a, b = math.sin(t) / t, (1.0 - math.cos(t)) / t2
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
     ax, ay, az = a * x, a * y, a * z
+    e00, e01, e02 = 1.0 - b * (yy + zz), bxy - az, bxz + ay
+    e10, e11, e12 = bxy + az, 1.0 - b * (xx + zz), byz - ax
+    e20, e21, e22 = bxz - ay, byz + ax, 1.0 - b * (xx + yy)
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
     return (
-        1.0 - b * (yy + zz), bxy - az, bxz + ay,
-        bxy + az, 1.0 - b * (xx + zz), byz - ax,
-        bxz - ay, byz + ax, 1.0 - b * (xx + yy),
+        x00 * e00 + x01 * e10 + x02 * e20,
+        x00 * e01 + x01 * e11 + x02 * e21,
+        x00 * e02 + x01 * e12 + x02 * e22,
+        x10 * e00 + x11 * e10 + x12 * e20,
+        x10 * e01 + x11 * e11 + x12 * e21,
+        x10 * e02 + x11 * e12 + x12 * e22,
+        x20 * e00 + x21 * e10 + x22 * e20,
+        x20 * e01 + x21 * e11 + x22 * e21,
+        x20 * e02 + x21 * e12 + x22 * e22,
     )
 
 
@@ -115,9 +124,16 @@ _ROW_MAJOR = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
 
 def _matrix(c):
     # The 3x3 matrix with the nine entries c, row by row, or the (B, 3, 3)
-    # stack with nine (B,) arrays.
+    # stack with a (9, B) array: the inverse of _components.
     m = np.array(c)
     return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
+
+
+def _components(C):
+    # The nine entries of a 3x3 matrix, row by row, as floats; of a stack
+    # (B, 3, 3), one (9, B) array.
+    C = np.asarray(C, dtype=float)
+    return tuple(C.ravel().tolist()) if C.ndim == 2 else C.reshape(-1, 9).T
 
 
 def solve_skew_sylvester(K, m) -> np.ndarray:
@@ -197,7 +213,13 @@ def _first_failure(ok, value):
 
 def check_skew(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Validate a skew-symmetric matrix; returns it as a float array."""
-    return _skew(X, tol)
+    X = np.asarray(X, dtype=float)
+    if X.shape[-2:] != (3, 3):
+        raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
+    resid = np.abs(X + X.mT).max()
+    if not resid <= tol:  # NaN fails
+        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
+    return X
 
 
 def check_spd(S, sym_tol: float = SYM_TOL) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -340,6 +341,58 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, section, ke
     assert "non-finite" in capsys.readouterr().err
 
 
+BIG = "9" * 400  # an integer literal that overflows a float
+HUGE = "9" * 5000  # over Python's 4,300-digit limit for int
+
+
+# The literal in place of one value of the run file, and the message's field
+# and number. Keys no command reads are checked too, and the first non-finite
+# number in the file is the one reported, not the NaN appended after it.
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize("edit, literal, field, number", [
+    (("scenario", "inertia", 4), BIG, "scenario.inertia[4]", BIG),
+    (("scenario", "refs", 1, 2), "-Infinity", "scenario.refs[1][2]", "-Infinity"),
+    (("scenario", "noise", "sigma_vec"), "NaN", "scenario.noise.sigma_vec", "NaN"),
+    (("scenario", "schedule", "start"), "1e999", "scenario.schedule.start", "1e999"),
+    (("unread",), '{"a": [1, 2, Infinity]}', "unread.a[2]", "Infinity"),
+    (("schema",), HUGE, "schema", HUGE),
+], ids=["inertia-400-digits", "refs-infinity", "sigma_vec-nan", "start-1e999", "unread-key",
+        "schema-5000-digits"])
+def test_non_finite_config_number_is_reported_with_its_path(tmp_path, capsys, command, edit,
+                                                             literal, field, number):
+    text = json.dumps(_with_leaf(_run_file(), edit, "@")).replace('"@"', literal)
+    path = tmp_path / "nf.json"
+    path.write_text(text[:-1] + ', "later": NaN}')
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {field}: non-finite number {number}\n"
+
+
+def test_non_finite_number_dropped_by_a_duplicate_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(_run_file()).replace('{"schema": 1', '{"schema": NaN, "schema": 1'))
+    assert cli.main(_argv("filter", path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: non-finite number NaN in config\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+@pytest.mark.parametrize("changes, message", [
+    ({"noise": {"sigma_vec": -1}},
+     "scenario.noise: sigma_vec must be finite and non-negative, got -1.0"),
+    ({"noise": {"sigma_gyro": -0.5}},
+     "scenario.noise: sigma_gyro must be finite and non-negative, got -0.5"),
+    ({"schedule": {"start": 0.05, "dt": -0.05, "count": 3}},
+     "scenario.schedule: schedule times must be strictly increasing"),
+    ({"schedule": {"times": [-1.0, 0.5]}},
+     "scenario.schedule: schedule starts before the initial state time"),
+    ({"schedule": {"start": 0.05, "dt": 0.05, "count": 0}}, "scenario.schedule.count: no epochs"),
+    ({"schedule": {"times": []}}, "scenario.schedule.times: no epochs"),
+], ids=["sigma_vec", "sigma_gyro", "not-increasing", "before-init", "count-0", "no-times"])
+def test_noise_and_schedule_errors_name_their_field(tmp_path, capsys, command, changes, message):
+    path = _write(tmp_path, "ns.json", _run_file(**changes))
+    assert cli.main(_argv(command, path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["filter", "montecarlo"])
 def test_noise_not_an_object_exits_2(tmp_path, capsys, command):
     path = _write(tmp_path, "nl.json", _run_file(noise=[0.002, 0.0, 1]))
@@ -486,6 +539,38 @@ def test_fuzzed_config_leaves_end_in_an_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SINGULAR, EXIT_REFLECTION), (path, value)
         assert code == EXIT_OK or err.startswith("error: "), (path, value)
+
+
+def _reader(path):
+    # One command that reads the leaf: filter reads the filter section and
+    # checks the noise seed, montecarlo the trial count, propagate the rest.
+    if path[0] == "filter" or path[:2] == ("scenario", "noise"):
+        return "filter"
+    return "montecarlo" if path[0] == "trials" else "propagate"
+
+
+def test_every_fuzzed_leaf_error_names_its_field(tmp_path, capsys):
+    # Every hostile value and -1 at every leaf of the fuzz test's run file and
+    # determine file. An exit-2 message names the leaf's key (for a list
+    # entry, its list's), or the dotted path of the object that holds it.
+    run = _run_file(potential={"type": "linear", "coeff": [0.1] * 9})
+    run.update(filter={"delta": 1.0, "pi": 1.0, "gamma": 4.0, "omega_weight": 1.0}, trials=2)
+    det = {"schema": 1, "refs": _ref_rows(rc.REFS), "body": _ref_rows(rc.BODY_MEAS),
+           "weights": [1.0] * 7, "truth": rc.ATTITUDE_TRUE.ravel().tolist()}
+    path_file = tmp_path / "fuzz.json"
+    unnamed = []
+    for base, reader in ((run, _reader), (det, lambda path: "determine")):
+        for path in _leaves(base):
+            keys = [key for key in path if isinstance(key, str)]
+            holder = ".".join(keys if isinstance(path[-1], int) else keys[:-1])
+            for value in HOSTILE + [-1]:
+                path_file.write_text(json.dumps(_with_leaf(base, path, value)))
+                code = cli.main([reader(path), "--config", str(path_file)])
+                err = capsys.readouterr().err
+                named = re.search(rf"\b{re.escape(keys[-1])}\b", err) or (holder and holder in err)
+                if code == EXIT_CONFIG and not named:
+                    unnamed.append((path, value, err))
+    assert not unnamed, unnamed[:5]
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def _axis_angle(axis, theta):
 def test_component_exponential_lands_in_so3(axis, theta):
     # Residuals in exact rational arithmetic on the rounded entries. Over 4M
     # random draws the worst orthogonality residual was 6.7 eps.
-    E = [Fraction(e) for e in so3._exp_components(*_axis_angle(axis, theta))]
+    E = [Fraction(e) for e in so3._exp_vec(_axis_angle(axis, theta)).ravel().tolist()]
     rows = [E[0:3], E[3:6], E[6:9]]
     for i in range(3):
         for j in range(3):
@@ -294,21 +294,24 @@ def test_component_exponential_lands_in_so3(axis, theta):
 
 
 @SETTINGS
-@given(vec3, angle)
-def test_component_exponential_matches_exp_vec(axis, theta):
-    # One Rodrigues formula: _exp_vec is the component exponential's matrix.
+@given(rotation_vector, vec3, angle)
+def test_component_exponential_matches_exp_vec(r, axis, theta):
+    # One Rodrigues formula: the attitude update C exp(hat(w)) is C times
+    # _exp_vec(w), each entry summed left to right in floats.
     w = _axis_angle(axis, theta)
-    E = np.reshape(so3._exp_components(*w), (3, 3))
-    assert np.array_equal(E, so3._exp_vec(w))
+    C, E = _rotation(r).tolist(), so3._exp_vec(w).tolist()
+    products = [sum((C[i][k] * E[k][j] for k in range(3)), 0.0) for i in range(3) for j in range(3)]
+    assert list(so3._rotate(so3._components(C), w)) == products
 
 
 @SETTINGS
-@given(st.lists(st.tuples(vec3, angle), min_size=1, max_size=8))
+@given(st.lists(st.tuples(rotation_vector, vec3, angle), min_size=1, max_size=8))
 def test_stacked_component_exponential_equals_one_rotation(draws):
-    ws = np.array([_axis_angle(axis, theta) for axis, theta in draws])
-    stacked = so3._exp_components(*ws.T)
+    Cs = np.array([_rotation(r) for r, _, _ in draws])
+    ws = np.array([_axis_angle(axis, theta) for _, axis, theta in draws])
+    stacked = so3._rotate(so3._components(Cs), ws.T)
     for k, w in enumerate(ws.tolist()):
-        assert [e[k] for e in stacked] == list(so3._exp_components(*w))
+        assert stacked[:, k].tolist() == list(so3._rotate(so3._components(Cs[k]), w))
 
 
 @SETTINGS
@@ -566,6 +569,86 @@ def test_propagation_is_left_equivariant(r, q, seed):
         other = propagate(moved, inertia, pot_moved, 0.5021, cfg)
         assert np.abs(other.C - R @ end.C).max() <= 1e-12
         assert np.abs(other.Omega - end.Omega).max() <= 1e-12
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def _noisy_run(rng, q, t0=0.0):
+    # A scenario in a linear potential with both noises on, its batches and a
+    # filter config, whose weights are distinct and far from isotropic.
+    frames = rng.uniform(-math.pi, math.pi, size=(5, 3))
+    cfg = FilterConfig(
+        Delta=_spd(frames[0], (0.5, 0.0, -0.5)),
+        Pi=_spd(frames[1], (0.6, 0.1, -0.4)),
+        Gamma=_spd(frames[2], (0.3, -0.2, -0.7)),
+        integrator=IntegratorConfig(step=5e-3),
+    )
+    scn = ScenarioSpec(
+        refs=clustered_references(7, 0.4, axis=(0.3, -0.4, 0.87), rng=rng),
+        inertia=InertiaSpec(_spd(frames[3], (0.4, 0.2, 0.0))),
+        potential=linear_potential(rng.normal(0.0, 0.5, size=(3, 3))),
+        init=BodyState(t0, _rotation(q), so3.hat(rng.normal(size=3))),
+        schedule=t0 + 0.05 * np.arange(1, 11),
+        noise=NoiseSpec(sigma_vec=0.01, sigma_gyro=0.01, seed=int(rng.integers(2**32))),
+    )
+    _, batches = simulate_scenario(scn, omega_weight=_spd(frames[4], (1.0, 0.6, 0.2)))
+    return scn, batches, cfg
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rotation_vector, rotation_vector, st.integers(0, 2**32 - 1))
+def test_propagation_and_filter_are_right_equivariant(r, q, seed):
+    # A body-frame change Q: S, Delta, Pi, Gamma and the gyro weight go to
+    # Q^T X Q, A to A Q, and the drawn body vectors and gyro readings by Q^T.
+    # Then every C goes to C Q and every Omega to Q^T Omega Q, in both modes.
+    # An attitude update multiplied on the wrong side, or a weight or moment
+    # taken in the wrong frame, breaks this.
+    Q = _rotation(r)
+    scn, batches, cfg = _noisy_run(make_rng(seed), q)
+    inertia = InertiaSpec(_sym(Q.T @ scn.inertia.second_moment @ Q))
+    potential = linear_potential(scn.potential.coeff @ Q)
+    start = BodyState(0.0, scn.init.C @ Q, Q.T @ scn.init.Omega @ Q)
+    # 100 full steps and a partial one
+    end = propagate(scn.init, scn.inertia, scn.potential, 0.5021, cfg.integrator)
+    other = propagate(start, inertia, potential, 0.5021, cfg.integrator)
+    assert np.abs(other.C - end.C @ Q).max() <= 1e-12
+    assert np.abs(other.Omega - Q.T @ end.Omega @ Q).max() <= 1e-12
+
+    moved_cfg = FilterConfig(Delta=_sym(Q.T @ cfg.Delta @ Q), Pi=_sym(Q.T @ cfg.Pi @ Q),
+                             Gamma=_sym(Q.T @ cfg.Gamma @ Q), integrator=cfg.integrator)
+    moved = [MeasurementBatch(b.t, b.refs, Q.T @ b.body, b.weights, Q.T @ b.omega_meas @ Q,
+                              _sym(Q.T @ b.omega_weight @ Q)) for b in batches]
+    for mode in ("no_gyro", "with_gyro"):
+        ests = run_filter(None, batches, scn.inertia, scn.potential, cfg, mode)
+        others = run_filter(None, moved, inertia, potential, moved_cfg, mode)
+        for est, other in zip(ests, others, strict=True):
+            assert np.abs(other.C_minus - est.C_minus @ Q).max() <= 1e-12
+            assert np.abs(other.C_plus - est.C_plus @ Q).max() <= 1e-12
+            assert np.abs(other.Omega_minus - Q.T @ est.Omega_minus @ Q).max() <= 1e-12
+            assert np.abs(other.Omega_plus - Q.T @ est.Omega_plus @ Q).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rotation_vector, st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+def test_simulation_and_filter_are_time_shift_invariant(q, tau, seed):
+    # Shifting the initial time and every epoch by tau changes nothing but the
+    # rounding of the shifted times: each span between them moves by a few
+    # ulps of tau, and with it the integrator's partial steps.
+    scn, batches, cfg = _noisy_run(make_rng(seed), q)
+    shifted_scn, shifted, _ = _noisy_run(make_rng(seed), q, t0=tau)
+    tol = 1e-12 * max(1.0, abs(tau))
+    for b, c in zip(batches, shifted, strict=True):
+        assert np.abs(c.body - b.body).max() <= tol
+        assert np.abs(c.omega_meas - b.omega_meas).max() <= tol
+    for mode in ("no_gyro", "with_gyro"):
+        ests = run_filter(None, batches, scn.inertia, scn.potential, cfg, mode)
+        others = run_filter(None, shifted, shifted_scn.inertia, shifted_scn.potential, cfg, mode)
+        for est, other in zip(ests, others, strict=True):
+            assert abs(other.t - (est.t + tau)) <= tol
+            for name in ("C_minus", "C_plus", "Omega_minus", "Omega_plus"):
+                assert np.abs(getattr(other, name) - getattr(est, name)).max() <= tol
 
 
 @SETTINGS
