@@ -189,12 +189,14 @@ def _as_omega(x, name: str) -> np.ndarray:
 def _section(name: str):
     # Library validation errors raised while building a config section are
     # configuration errors (exit 2), a rank-deficient scenario.refs included.
+    # A message that already names a field of the section is kept as it is.
     try:
         yield
     except ConfigError:
         raise
     except (AttKitError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        text = str(exc)
+        raise ConfigError(text if text.startswith(f"{name}.") else f"{name}: {text}") from exc
 
 
 def _parse_potential(obj) -> PotentialModel:
@@ -406,7 +408,7 @@ def cmd_propagate(args) -> int:
     run = _load_run(args, filtering=False)
     rows = [PROPAGATE_CSV_HEADER]
     for state in gen_truth(run.scn, run.integ):
-        w = so3.vee(state.Omega)
+        w = so3._axis(state.Omega)
         vals = [state.t, *state.C.ravel().tolist(), *w.tolist(),
                 kinetic_energy(run.scn.inertia, state.Omega)]
         rows.append(",".join(_fmt(v) for v in vals))

@@ -177,7 +177,7 @@ def euler_rhs(
     """
     C, Omega = state.C, state.Omega
     P = _gradient(potential.gradient, C).T @ C
-    m = np.array([P[2, 1] - P[1, 2], P[0, 2] - P[2, 0], P[1, 0] - P[0, 1]])  # vee(P - P^T)
+    m = so3._axis(P - P.T)
     w = so3.vee(Omega)
     w_dot = inertia.classical_inv @ (np.cross(inertia.classical @ w, w) + m)
     if not np.isfinite(w_dot).all():
@@ -223,7 +223,7 @@ def propagate(
     if span == 0.0:
         return state
 
-    C, w = _advance(inertia, potential, state.C, so3.vee(state.Omega).tolist(), span, cfg.step)
+    C, w = _advance(inertia, potential, state.C, so3._axis(state.Omega), span, cfg.step)
     return BodyState(t=t_end, C=C, Omega=so3.hat(w))
 
 
@@ -256,7 +256,7 @@ def _advance(inertia, potential, C, w, span, h):
     g = None if potential.coeff is None else potential.coeff.ravel().tolist()
     free, grad = g is not None and not any(g), potential.gradient
     c = _components(C)
-    w0, w1, w2 = w
+    w0, w1, w2 = map(float, w)
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
         for _ in range(count):

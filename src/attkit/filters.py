@@ -115,6 +115,7 @@ def update_attitude(C_minus, batch: MeasurementBatch, cfg: FilterConfig) -> np.n
     return attitude
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values
 def update_omega_no_gyro(C_minus, C_plus, Omega_minus, Pi) -> np.ndarray:
     """Rate-matching angular velocity update without gyro measurements.
 
@@ -132,10 +133,10 @@ def update_omega_no_gyro(C_minus, C_plus, Omega_minus, Pi) -> np.ndarray:
             f"symmetric residual {sym!r} in rate update (is the weight symmetric "
             "positive definite and are the attitudes valid rotations?)"
         )
-    St = 0.5 * (R - R.mT).T  # stack axis last: St[j, i] is skew[:, i, j]
-    return so3.solve_skew_sylvester(Pi, [St[1, 2], St[2, 0], St[0, 1]])
+    return so3.solve_skew_sylvester(Pi, so3._axis(0.5 * (R - R.mT)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the solve reports a non-finite rate
 def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
     """Momentum-weighted average of measured and propagated angular velocity.
 
@@ -154,10 +155,8 @@ def update_omega_with_gyro(Omega_minus, Omega_meas, X, Gamma) -> np.ndarray:
         + Gamma @ Omega_minus
         + Omega_minus @ Gamma
     )
-    # Read directly: rhs scales with the weights, which vee's absolute skew
-    # tolerance does not. rhs.T puts a stack axis last.
-    Rt = rhs.T
-    return so3.solve_skew_sylvester(X + Gamma, [Rt[1, 2], Rt[2, 0], Rt[0, 1]])
+    # Unchecked: rhs scales with the weights, vee's absolute skew tolerance does not.
+    return so3.solve_skew_sylvester(X + Gamma, so3._axis(rhs))
 
 
 def initial_estimate(
@@ -237,9 +236,7 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
         if est is None:
             est = initial_estimate(batch, C0, Omega0)
         else:
-            w = so3.vee(est.Omega_plus)
-            w = w.tolist() if w.ndim == 1 else tuple(w)
-            span = batch.t - est.t
+            w, span = so3._axis(est.Omega_plus), batch.t - est.t
             C_minus, w = _advance(inertia, potential, est.C_plus, w, span, cfg.integrator.step)
             # The checks a propagated body state gets.
             C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))

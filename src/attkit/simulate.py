@@ -55,9 +55,9 @@ class ScenarioSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        refs = wahba.check_vector_set(self.refs, unit=True, name="scenario refs")
+        refs = wahba.check_vector_set(self.refs, unit=True, name="scenario.refs")
         if refs.ndim != 2:
-            raise ShapeMismatch(f"scenario refs: expected one 3xn set, got {refs.shape}")
+            raise ShapeMismatch(f"scenario.refs: expected one 3xn set, got {refs.shape}")
         object.__setattr__(self, "refs", refs)
         object.__setattr__(self, "schedule", _check_schedule(self.schedule, self.init.t))
 
@@ -267,7 +267,7 @@ def run_metrics(
         epochs = list(epochs)
     out = np.empty((trials, len(truth), 5))
     for k, (st, (b, est)) in enumerate(zip(truth, epochs)):
-        rates = (so3.vee(est.Omega_minus - st.Omega), so3.vee(est.Omega_plus - st.Omega))
+        rates = (so3._axis(est.Omega_minus - st.Omega), so3._axis(est.Omega_plus - st.Omega))
         for j, column in enumerate((
             so3.principal_angle(est.C_minus, st.C),
             so3.principal_angle(est.C_plus, st.C),

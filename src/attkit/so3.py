@@ -44,7 +44,12 @@ def hat(v) -> np.ndarray:
 
 def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
     """Inverse of hat. Raises NotSkew if X is not skew within tol."""
-    Xt = check_skew(X, tol).T  # stack axis last: Xt[j, i] is X[:, i, j]
+    return _axis(check_skew(X, tol))
+
+
+def _axis(X) -> np.ndarray:
+    # vee unchecked, of a float array skew by construction: (3,), or (3, B) for a stack.
+    Xt = X.T  # stack axis last: Xt[j, i] is X[:, i, j]
     return np.array([Xt[1, 2], Xt[2, 0], Xt[0, 1]])
 
 
@@ -136,17 +141,21 @@ def _components(C):
     return tuple(C.ravel().tolist()) if C.ndim == 2 else C.reshape(-1, 9).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite solution is reported below
 def solve_skew_sylvester(K, m) -> np.ndarray:
     """Skew solution X of K X + X K = hat(m) for symmetric positive definite K.
 
     The map X -> K X + X K is an isomorphism of so(3); in axis coordinates
     it is the matrix trace(K) I - K, so X = hat((trace(K) I - K)^-1 m).
     K is one 3x3 matrix; m may be a stack of vectors, (3, B), each solved
-    on its own.
+    on its own. A non-finite solution (K or m overflows) raises ValueError.
     """
     K = np.asarray(K, dtype=float)
     m = np.asarray(m, dtype=float)
-    return hat(np.linalg.solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T)
+    x = np.linalg.solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T
+    if not np.isfinite(x).all():
+        raise ValueError(f"skew Sylvester solve: non-finite solution at weight trace {K.trace()}")
+    return hat(x)
 
 
 def trace_inner(A, B) -> float:
@@ -168,9 +177,8 @@ def principal_angle(C1, C2) -> float:
     """
     R = np.asarray(C1).mT @ np.asarray(C2)
     if R.ndim > 2:
-        Rt = R.T  # stack axis last: Rt[j, i] is R[:, i, j]
-        x, y, z = Rt[1, 2] - Rt[2, 1], Rt[2, 0] - Rt[0, 2], Rt[0, 1] - Rt[1, 0]
-        c = 0.5 * (Rt[0, 0] + Rt[1, 1] + Rt[2, 2] - 1.0)
+        x, y, z = _axis(R - R.mT)
+        c = 0.5 * (R.trace(0, -2, -1) - 1.0)
         return _atan2(0.5 * np.sqrt(x * x + y * y + z * z), c).astype(float)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
     x, y, z = r21 - r12, r02 - r20, r10 - r01

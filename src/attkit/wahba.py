@@ -84,7 +84,7 @@ def check_vector_set(V, unit: bool = False, name: str = "vector set") -> np.ndar
         bad = so3._first_failure(st[2] >= RANK_RTOL * st[0], s)
         if bad is not None:
             raise SingularProfile(
-                f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
+                f"{name}: rank deficient (singular values {bad.tolist()}); problem is ill-posed"
             )
     if unit:
         norms = np.linalg.norm(V, axis=-2)

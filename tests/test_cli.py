@@ -480,7 +480,37 @@ def test_non_unit_refs_exit_2(tmp_path, capsys):
     cfg = _run_file()
     cfg["scenario"]["refs"] = [[2.0 * v for v in row] for row in cfg["scenario"]["refs"]]
     assert cli.main(_argv("filter", _write(tmp_path, "u.json", cfg))) == EXIT_CONFIG
-    assert "unit" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: scenario.refs: columns are not unit vectors\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+def test_rank_deficient_refs_exit_2_naming_them_once(tmp_path, capsys, command):
+    cfg = _run_file(refs=[[1.0] * 7, [0.0] * 7, [0.0] * 7])
+    assert cli.main(_argv(command, _write(tmp_path, "refs.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: scenario.refs: rank deficient (singular values [2.6457513110645907, 0.0, 0.0]);"
+        " problem is ill-posed\n")
+
+
+@pytest.mark.parametrize("command, mode, key, weight", [
+    ("filter", "no-gyro", "pi", 1e308),
+    ("filter", "with-gyro", "omega_weight", 1.7e308),
+    ("montecarlo", "with-gyro", "omega_weight", 1.7e308),
+])
+def test_overflowing_rate_weight_exits_2_with_the_solves_message(tmp_path, capsys, command,
+                                                                 mode, key, weight):
+    # The solve of the first rate update overflows; stderr is its one line.
+    cfg = _run_file(noise={"sigma_vec": 0.002, "sigma_gyro": 0.005, "seed": 3})
+    if key == "pi":  # at rest, the no-gyro update's right side is exactly 0
+        cfg["scenario"].update(init={**cfg["scenario"]["init"], "omega": [0.0, 0.0, 0.0]},
+                               noise={"sigma_vec": 0.002, "sigma_gyro": 0.0, "seed": 3})
+    cfg["filter"] = {key: weight}
+    argv = _argv(command, _write(tmp_path, "w.json", cfg)) + ["--mode", mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: skew Sylvester solve: non-finite solution at weight trace inf\n")
 
 
 def _with_leaf(obj, path, value):

@@ -424,3 +424,23 @@ def test_run_filter_rejects_a_non_rotation_initial_attitude_before_propagating(
     monkeypatch.setattr(filters, "_advance", lambda *a: pytest.fail("propagated"))
     with pytest.raises(NotRotation):
         run_filter(bad, batches, scn.inertia, scn.potential, FilterConfig())
+
+
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+def test_run_filter_rejects_an_overflowing_rate_update_at_its_epoch(mode):
+    # A gyro weight of 1.7e308 I, or Pi = 1e308 I, overflows the skew solve of
+    # the first update. Two epochs hold one update, so the run fails there and
+    # not at a later epoch's check of the rate; numpy does not warn on the way.
+    # Without gyro the body is at rest and its rate read exactly: the right
+    # side is then 0, whose symmetric residual check passes whatever the
+    # rounding of Pi's products.
+    sigma_gyro, omega0 = (0.0, (0.0,) * 3) if mode == "no_gyro" else (1e-3, (0.3, -0.2, 0.4))
+    scn = _scenario(sigma_vec=1e-3, sigma_gyro=sigma_gyro, count=2, omega0=omega0)
+    weight = 1.7e308 * np.eye(3) if mode == "with_gyro" else None
+    _, batches = simulate_scenario(scn, omega_weight=weight)
+    cfg = FilterConfig(Pi=1e308 * np.eye(3)) if mode == "no_gyro" else FilterConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            run_filter(None, batches, scn.inertia, scn.potential, cfg, mode=mode)
+    assert str(err.value) == "skew Sylvester solve: non-finite solution at weight trace inf"

@@ -409,7 +409,7 @@ def _vector_set_svd_only(V, unit=False, name="vector set"):
     bad = so3._first_failure(st[2] >= wahba.RANK_RTOL * st[0], s)
     if bad is not None:
         raise SingularProfile(
-            f"{name}: rank deficient (singular values {bad}); problem is ill-posed"
+            f"{name}: rank deficient (singular values {bad.tolist()}); problem is ill-posed"
         )
     return V
 

@@ -7,6 +7,7 @@ from attkit.simulate import (
     DRAW_BLOCK,
     NoiseSpec,
     ScenarioSpec,
+    _draws,
     clustered_references,
     gen_batches_from_truth,
     gen_gyro_measurement,
@@ -216,6 +217,36 @@ def test_scenario_spec_rejects_a_schedule_that_is_not_1d():
             init=BodyState(0.0, np.eye(3), np.zeros((3, 3))),
             schedule=np.array([[0.1, 0.2], [0.3, 0.4]]),
         )
+
+
+@pytest.mark.parametrize("scale, unit", [(1.0 + 0.9e-6, True), (1.0 + 1.1e-6, False)])
+def test_scenario_refs_unit_length_boundary(scale, unit):
+    # Columns within 1e-6 of unit length pass; beyond it the refs are named once.
+    refs = scale * clustered_references(5, 0.3, rng=make_rng(28))
+    rest = dict(inertia=InertiaSpec(np.eye(3)), potential=zero_potential(),
+                init=BodyState(0.0, np.eye(3), np.zeros((3, 3))), schedule=np.array([0.1]))
+    if unit:
+        assert np.array_equal(ScenarioSpec(refs=refs, **rest).refs, refs)
+    else:
+        with pytest.raises(ValueError, match=r"^scenario\.refs: columns are not unit vectors$"):
+            ScenarioSpec(refs=refs, **rest)
+
+
+def test_draws_at_a_subnormal_sigma_equal_one_normal_call_per_block():
+    # At sigma = 5e-324 most sigma z underflow to a zero. normal(0.0, sigma)
+    # returns 0.0 + sigma z, a +0.0 for each of them, and so must _draws: the
+    # values and their sign bits equal one normal call per block of epochs.
+    sigma, epochs, k = 5e-324, 9, 6
+    got = np.array(list(_draws(make_rng(61), np.full(k, sigma), epochs)))
+    plain = make_rng(61)
+    expected = np.concatenate([
+        plain.normal(0.0, sigma, (min(DRAW_BLOCK, epochs - start), k))
+        for start in range(0, epochs, DRAW_BLOCK)
+    ])
+    assert got.shape == expected.shape == (epochs, k)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert (got == 0.0).any() and (got != 0.0).any()
 
 
 def _per_epoch_measurements(state, refs, noise, rng):

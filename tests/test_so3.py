@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,15 @@ def test_check_spd_rejects_a_matrix_that_is_not_3x3_and_prints_plain_numbers():
         with pytest.raises(NotSymmetricPD) as exc:
             so3.check_spd(S)
         assert str(exc.value) == f"smallest eigenvalue {lo} is not positive"
+
+
+@pytest.mark.parametrize("m", [[1.0, -2.0, 0.5], [[1.0, 0.0], [-2.0, 1.0], [0.5, 0.0]]],
+                         ids=["one", "stack"])
+def test_skew_sylvester_solve_rejects_an_overflowing_weight(m):
+    # trace(K) I - K overflows at K = 1e308 I: the solve raises, naming itself
+    # and the weight's trace, and numpy does not warn on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            so3.solve_skew_sylvester(1e308 * np.eye(3), m)
+    assert str(err.value) == "skew Sylvester solve: non-finite solution at weight trace inf"

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 303 attkit CLI commands.
+"""Write the outputs of a fixed set of 306 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -50,7 +50,11 @@ The commands:
   the same reason;
 * a campaign of 100 trials in a linear potential with both noises (see
   ``_grouped_potential``): ``montecarlo --trials 100`` in both modes. It
-  comes last, for the same reason.
+  comes after the draw blocks, for the same reason;
+* rate weights whose skew solve overflows (see ``_overflowing_weights``):
+  ``filter --mode no-gyro`` with a pi of 1e308 on a body at rest, and
+  ``filter`` and ``montecarlo --trials 3`` in ``--mode with-gyro`` with an
+  omega_weight of 1.7e308. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -242,6 +246,20 @@ def _grouped_potential(rng):
                                              schedule="regular")}
 
 
+def _overflowing_weights(rng):
+    """Run files whose first rate update overflows its skew solve, as
+    trace(K) I - K is not finite: a filter pi of 1e308 I, on a body at rest
+    with no gyro noise, so that the no-gyro update's right side is exactly 0
+    and passes its symmetric residual check; and a gyro weight of 1.7e308 I,
+    whose right side overflows too."""
+    pi = _run_file(rng, potential=False, noise=NOISES["vec"], schedule="regular",
+                   omega=[0.0, 0.0, 0.0])
+    pi["filter"]["pi"] = 1e308
+    gyro = _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular")
+    gyro["filter"]["omega_weight"] = 1.7e308
+    return {"overflow_pi": pi, "overflow_omega_weight": gyro}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -283,6 +301,8 @@ def commands(inputs):
     files.update(draw_blocks)
     grouped = _grouped_potential(np.random.default_rng(20261025))
     files.update(grouped)
+    overflow = _overflowing_weights(np.random.default_rng(20261026))
+    files.update(overflow)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -340,6 +360,12 @@ def commands(inputs):
         for mode in MODES:
             out.append((f"montecarlo_{name}_{mode}_100",
                         ["montecarlo", *cfg(name), "--mode", mode, "--trials", "100"]))
+    # After the grouped campaign, for the same reason
+    out.append(("filter_overflow_pi_no-gyro", ["filter", *cfg("overflow_pi"), "--mode", "no-gyro"]))
+    out.append(("filter_overflow_omega_weight_with-gyro",
+                ["filter", *cfg("overflow_omega_weight"), "--mode", "with-gyro"]))
+    out.append(("montecarlo_overflow_omega_weight_with-gyro_3",
+                ["montecarlo", *cfg("overflow_omega_weight"), "--mode", "with-gyro", "--trials", "3"]))
     return out
 
 
