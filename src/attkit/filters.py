@@ -17,6 +17,7 @@ a caller gives run_filter or over batches simulate draws as it goes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,8 @@ from . import so3, wahba
 from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance
 from .errors import InconsistentUpdate, MissingGyro
 
-# Allowed symmetric residual in the rate-matching update equation.
+# Allowed symmetric residual in the rate-matching update equation, relative
+# to the scale of its right side (see update_omega_no_gyro).
 UPDATE_SYM_TOL = 1e-9
 
 
@@ -122,15 +124,23 @@ def update_omega_no_gyro(C_minus, C_plus, Omega_minus, Pi) -> np.ndarray:
     Solves X Pi + Pi X = F Omega_minus Pi + Pi Omega_minus F^T for skew X,
     where F = C_plus^T C_minus carries the attitude correction. The right
     side is skew whenever Pi is symmetric; its symmetric residual is checked
-    and a violation raises InconsistentUpdate.
+    against UPDATE_SYM_TOL max(1, max|Pi| max|Omega_minus|), as the right
+    side and its rounding scale with both, and a violation raises
+    InconsistentUpdate. A right side that overflows raises ValueError.
     """
     Pi = np.asarray(Pi, dtype=float)
+    Om = np.asarray(Omega_minus, dtype=float)
     F = np.asarray(C_plus, dtype=float).mT @ np.asarray(C_minus, dtype=float)
-    R = F @ Omega_minus @ Pi + Pi @ Omega_minus @ F.mT
-    sym = 0.5 * np.abs(R + R.mT).max()
-    if not sym <= UPDATE_SYM_TOL:
+    R = F @ Om @ Pi + Pi @ Om @ F.mT
+    sym = float(0.5 * np.abs(R + R.mT).max())
+    if not math.isfinite(sym):  # R + R^T is not finite where R is not
+        raise ValueError(f"rate update: its right side overflowed (symmetric residual {sym:.3e})")
+    # The scale is at least 1: a residual within the tolerance needs no scale.
+    if sym > UPDATE_SYM_TOL and sym > UPDATE_SYM_TOL * max(
+        1.0, np.abs(Pi).max() * np.abs(Om).max()
+    ):
         raise InconsistentUpdate(
-            f"symmetric residual {sym!r} in rate update (is the weight symmetric "
+            f"symmetric residual {sym:.3e} in rate update (is the weight symmetric "
             "positive definite and are the attitudes valid rotations?)"
         )
     return so3.solve_skew_sylvester(Pi, so3._axis(0.5 * (R - R.mT)))

@@ -15,6 +15,7 @@ update of the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,19 @@ SKEW_TOL = 1e-12
 SYM_TOL = 1e-12
 
 _I3 = np.eye(3)
+
+# numpy.linalg's own LAPACK gufuncs, bound here once, so that a numpy that
+# renames one fails at import. They take the signatures numpy.linalg passes
+# and run the same routine on the same float64 input, bit for bit, without
+# the wrappers' casts and errstate, which cost more than LAPACK does on a
+# 3x3. A LAPACK failure returns NaN and sets numpy's invalid flag, where the
+# wrappers raise LinAlgError: each caller checks its input is finite first,
+# or ignores that flag and checks what comes out.
+_linalg = np.linalg._umath_linalg
+_svd = functools.partial(_linalg.svd_f, signature="d->ddd")  # U, s, V^T
+_solve = functools.partial(_linalg.solve, signature="dd->d")
+_det = functools.partial(_linalg.det, signature="d->d")
+_eigvalsh = functools.partial(_linalg.eigvalsh_lo, signature="d->d")  # ascending
 
 
 def hat(v) -> np.ndarray:
@@ -131,7 +145,7 @@ def _matrix(c):
     # The 3x3 matrix with the nine entries c, row by row, or the (B, 3, 3)
     # stack with a (9, B) array: the inverse of _components.
     m = np.array(c)
-    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (3, 3))
+    return m.T.reshape(m.shape[1:] + (3, 3))
 
 
 def _components(C):
@@ -148,11 +162,13 @@ def solve_skew_sylvester(K, m) -> np.ndarray:
     The map X -> K X + X K is an isomorphism of so(3); in axis coordinates
     it is the matrix trace(K) I - K, so X = hat((trace(K) I - K)^-1 m).
     K is one 3x3 matrix; m may be a stack of vectors, (3, B), each solved
-    on its own. A non-finite solution (K or m overflows) raises ValueError.
+    on its own. A non-finite solution (K or m overflows, or trace(K) I - K
+    is singular, as it can be for a K that is not positive definite) raises
+    ValueError.
     """
     K = np.asarray(K, dtype=float)
     m = np.asarray(m, dtype=float)
-    x = np.linalg.solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T
+    x = _solve(np.trace(K) * _I3 - K, m.T[..., None])[..., 0].T
     if not np.isfinite(x).all():
         raise ValueError(f"skew Sylvester solve: non-finite solution at weight trace {K.trace()}")
     return hat(x)
@@ -203,7 +219,7 @@ def check_rotation(C, tol: float = ROTATION_TOL) -> np.ndarray:
     ortho = np.abs(C.mT @ C - _I3).max()
     if not ortho <= tol:
         raise NotRotation(f"orthogonality residual {ortho:.3e} exceeds {tol:.1e}")
-    det = np.linalg.det(C)
+    det = _det(C)  # of finite entries: the orthogonality check passed
     bad = _first_failure(abs(det - 1.0) <= tol, det)
     if bad is not None:
         raise NotRotation(f"determinant {bad!r} not within {tol:.1e} of 1")
@@ -238,7 +254,7 @@ def check_spd(S, sym_tol: float = SYM_TOL) -> np.ndarray:
     resid = np.abs(S - S.T).max()
     if not resid <= sym_tol:
         raise NotSymmetricPD(f"symmetry residual {resid:.3e} exceeds {sym_tol:.1e}")
-    lo = np.linalg.eigvalsh(S)[0]
+    lo = _eigvalsh(S)[0]  # of finite entries: the symmetry check passed
     if not lo > 0.0:
         raise NotSymmetricPD(f"smallest eigenvalue {lo} is not positive")
     return S

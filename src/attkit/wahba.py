@@ -23,7 +23,13 @@ the SVD path, which alone decides and raises: results and messages are the
 SVD path's.
 
 profile_from_matrix takes one SVD L = U diag(s) V^T per profile, sets its
-det to d s1 s2 s3 (d the sign of det L), and solve_attitude reuses it. One
+det to d s1 s2 s3 (d the sign of det L), and solve_attitude reuses it. The
+SVD is LAPACK's, through so3's binding of numpy's own gufunc: the routine
+np.linalg.svd calls, bit for bit, without the wrapper, which costs more than
+LAPACK on a 3x3. A LAPACK failure there gives NaN, not LinAlgError, so
+attkit's own checks report it: L's entries are checked finite before the
+SVD (LAPACK's does not return on inf), and singular values that are not
+finite fail the determinant floor and raise ValueError. One
 profile is checked on Python floats, which do not warn; a stack, and
 build_profile, run with numpy's overflow and invalid warnings off. A
 profile whose matrix, determinant or norm is not finite raises ValueError,
@@ -138,7 +144,7 @@ def _factored(M, xp, rows) -> AttitudeProfile:
     sq = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
     if so3._first_failure(sq < math.inf, sq) is not None:
         raise ValueError(_OVERFLOW)
-    U, s, Vt = factors = np.linalg.svd(M)
+    U, s, Vt = factors = so3._svd(M)
     s1, s2, s3 = rows(s)
     size, q = s1 * s2 * s3, s1 * s1 + s2 * s2 + s3 * s3
     det = xp.copysign(size, _det3(rows(U)) * _det3(rows(Vt)))  # U, V^T orthogonal
@@ -190,7 +196,9 @@ def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
     # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
     bad = so3._first_failure(s3 * s3 > SQRT_EIG_RTOL * (s1 * s1), s)
     if bad is not None:
-        raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
+        raise SingularProfile(
+            f"profile effectively singular (eigenvalues {(bad[::-1] ** 2).tolist()})"
+        )
     S = (U / s[..., None, :]) @ U.mT
     return U @ Vt, 0.5 * (S + S.mT)
 

@@ -513,6 +513,23 @@ def test_overflowing_rate_weight_exits_2_with_the_solves_message(tmp_path, capsy
         "error: skew Sylvester solve: non-finite solution at weight trace inf\n")
 
 
+@pytest.mark.parametrize("pi, code, err", [
+    (1e7, EXIT_OK, ""),
+    (1.7e308, EXIT_CONFIG, "error: rate update: its right side overflowed (symmetric residual nan)\n"),
+])
+def test_no_gyro_update_checks_its_residual_at_the_weights_scale(tmp_path, capsys, pi, code, err):
+    # At pi 1e7 the right side's symmetric residual is rounding above an
+    # absolute 1e-9, and the run is solved; at 1.7e308 the right side
+    # overflows, and the one error line says so.
+    cfg = {"schema": 1, "scenario": _scenario_dict(sigma_vec=0.002, count=20),
+           "integrator": {"step": 5e-3}, "filter": {"pi": pi}}
+    argv = _argv("filter", _write(tmp_path, "pi.json", cfg)) + ["--mode", "no-gyro"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    assert capsys.readouterr().err == err
+
+
 def _with_leaf(obj, path, value):
     obj = json.loads(json.dumps(obj))
     node = obj

@@ -196,8 +196,34 @@ def test_update_omega_no_gyro_rejects_non_symmetric_weight():
     Cp = so3.random_rotation(rng)
     Om = so3.hat([0.5, -0.2, 0.8])
     Pi_bad = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(InconsistentUpdate):
+    with pytest.raises(InconsistentUpdate,
+                       match=r"^symmetric residual \d\.\d{3}e[-+]\d{2} in rate update \(is"):
         update_omega_no_gyro(Cm, Cp, Om, Pi_bad)
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e100, 1e300])
+def test_update_omega_no_gyro_accepts_large_weights(scale):
+    # The right side's rounding grows with Pi: at Pi = 1e7 I its symmetric
+    # residual reaches about 7.5e-9, above an absolute 1e-9. Checked relative
+    # to max|Pi| max|Omega_minus|, large weights are solved, and the result
+    # is the one for Pi / scale (the equation is homogeneous in Pi).
+    rng = np.random.default_rng(49)
+    for _ in range(200):
+        Cm, Cp = so3.random_rotation(rng), so3.random_rotation(rng)
+        Om, Pi = so3.hat(rng.normal(size=3)), _random_spd(rng)
+        out = update_omega_no_gyro(Cm, Cp, Om, scale * Pi)
+        assert np.abs(out - update_omega_no_gyro(Cm, Cp, Om, Pi)).max() <= 1e-12
+
+
+def test_update_omega_no_gyro_reports_an_overflowing_right_side():
+    # Pi = 1.7e308 I: F Omega Pi overflows. The update says so, prints the
+    # residual as a plain number, and numpy does not warn on the way.
+    Om = so3.hat([1.5, -1.2, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            update_omega_no_gyro(np.eye(3), np.eye(3), Om, 1.7e308 * np.eye(3))
+    assert str(err.value) == "rate update: its right side overflowed (symmetric residual nan)"
 
 
 def test_update_omega_no_gyro_continuity_bound():

@@ -223,3 +223,56 @@ def test_skew_sylvester_solve_rejects_an_overflowing_weight(m):
         with pytest.raises(ValueError) as err:
             so3.solve_skew_sylvester(1e308 * np.eye(3), m)
     assert str(err.value) == "skew Sylvester solve: non-finite solution at weight trace inf"
+
+
+# ---------------------------------------------------------------------------
+# the bound LAPACK kernels
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["one", "stack"])
+def test_bound_lapack_kernels_equal_numpy_linalg_bit_for_bit(scale, stack):
+    # Each kernel so3 binds gives np.linalg's result, value and type, on one
+    # problem and on a stack; det over- and underflows as np.linalg.det does.
+    rng = np.random.default_rng(61)
+    M = scale * rng.normal(size=stack + (3, 3))
+    A = rng.normal(size=stack + (3, 3))
+    S = scale * (A @ A.mT)
+    b = scale * rng.normal(size=stack + (3, 2))
+    with np.errstate(over="ignore"):  # det at 1e150: both warn alike
+        pairs = [
+            (so3._svd(M), np.linalg.svd(M)),
+            ((so3._solve(M, b),), (np.linalg.solve(M, b),)),
+            ((so3._det(M),), (np.linalg.det(M),)),
+            ((so3._eigvalsh(S),), (np.linalg.eigvalsh(S),)),
+        ]
+    for got, want in pairs:
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w) and np.array_equal(g, w)
+
+
+def test_singular_skew_sylvester_solve_raises_the_solves_message():
+    # K = diag(1, -1, 5) is not positive definite and trace(K) I - K =
+    # diag(4, 6, 0) is singular: LAPACK's solve fails, and the solve reports
+    # its non-finite solution without a warning.
+    K = np.diag([1.0, -1.0, 5.0])
+    for m in ([1.0, -2.0, 0.5], [[1.0, 0.0], [-2.0, 1.0], [0.5, 0.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                so3.solve_skew_sylvester(K, m)
+        assert str(err.value) == "skew Sylvester solve: non-finite solution at weight trace 5.0"
+
+
+def test_check_rotation_and_check_spd_messages_from_the_bound_kernels():
+    # The determinant and the smallest eigenvalue print as they did through
+    # np.linalg, for one matrix and the first failing one of a stack.
+    reflection = np.diag([1.0, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for C in (reflection, np.stack([np.eye(3), reflection, reflection])):
+            with pytest.raises(NotRotation) as exc:
+                so3.check_rotation(C)
+            assert str(exc.value) == "determinant np.float64(-1.0) not within 1.0e-09 of 1"
+        with pytest.raises(NotSymmetricPD) as exc:
+            so3.check_spd(np.diag([2.0, -0.5, 1.0]))
+    assert str(exc.value) == "smallest eigenvalue -0.5 is not positive"

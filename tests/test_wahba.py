@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -62,9 +63,13 @@ def test_build_profile_rank_deficient_raises():
 
 
 def test_check_vector_set_screen_skips_the_svd_on_well_conditioned_sets(monkeypatch):
+    # Every SVD is counted: the profile's, on so3's bound LAPACK kernel, and
+    # the rank check's, on np.linalg.svd.
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda M, **k: calls.append(M.shape) or svd(M, **k))
+    for module, name in ((so3, "_svd"), (np.linalg, "svd")):
+        svd = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda M, svd=svd, **k: calls.append(M.shape) or svd(M, **k))
     rng = np.random.default_rng(30)
     wahba.check_vector_set(_random_unit_set(rng, n=7))
     wahba.check_vector_set(np.stack([_random_unit_set(rng, n=7) for _ in range(4)]))
@@ -300,7 +305,7 @@ def test_singular_floor_verdicts_and_message(r, singular):
         return
     with pytest.raises(SingularProfile, match=r"^profile effectively singular \(eigenvalues \[") as exc:
         wahba.solve_attitude(p)
-    listed = np.array(str(exc.value).split("[")[1].split("]")[0].split(), dtype=float)
+    listed = json.loads(str(exc.value).split("eigenvalues ")[1][:-1])  # a list of floats
     assert np.allclose(listed, [r * r, 0.36, 1.0], rtol=1e-6, atol=0.0)  # ascending
 
 

@@ -64,7 +64,9 @@ def _fresh_svd_solve(matrix, det):
     st_ = s.T
     bad = so3._first_failure(st_[2] * st_[2] > wahba.SQRT_EIG_RTOL * (st_[0] * st_[0]), s)
     if bad is not None:
-        raise SingularProfile(f"profile effectively singular (eigenvalues {bad[::-1] ** 2})")
+        raise SingularProfile(
+            f"profile effectively singular (eigenvalues {(bad[::-1] ** 2).tolist()})"
+        )
     S = (U / s[..., None, :]) @ U.mT
     return U @ Vt, 0.5 * (S + S.mT)
 

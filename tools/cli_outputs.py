@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 306 attkit CLI commands.
+"""Write the outputs of a fixed set of 308 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -54,7 +54,12 @@ The commands:
 * rate weights whose skew solve overflows (see ``_overflowing_weights``):
   ``filter --mode no-gyro`` with a pi of 1e308 on a body at rest, and
   ``filter`` and ``montecarlo --trials 3`` in ``--mode with-gyro`` with an
-  omega_weight of 1.7e308. They come last, for the same reason.
+  omega_weight of 1.7e308. They come after the grouped campaign, for the
+  same reason;
+* large no-gyro rate weights (see ``_large_pi``): ``filter --mode no-gyro``
+  with a pi of 1e7, whose update's symmetric residual is rounding at the
+  weight's scale, and of 1.7e308, whose update's right side overflows.
+  They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -260,6 +265,17 @@ def _overflowing_weights(rng):
     return {"overflow_pi": pi, "overflow_omega_weight": gyro}
 
 
+def _large_pi(rng):
+    """Run files for the no-gyro rate update at large weights: a filter pi
+    of 1e7 I, where the symmetric residual of the update's right side is
+    rounding of about 1e-9, and of 1.7e308 I, where that side overflows."""
+    files = {}
+    for name, pi in (("pi_1e7", 1e7), ("pi_overflow", 1.7e308)):
+        files[name] = _run_file(rng, potential=False, noise=NOISES["vec"], schedule="regular")
+        files[name]["filter"]["pi"] = pi
+    return files
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -303,6 +319,8 @@ def commands(inputs):
     files.update(grouped)
     overflow = _overflowing_weights(np.random.default_rng(20261026))
     files.update(overflow)
+    large_pi = _large_pi(np.random.default_rng(20261027))
+    files.update(large_pi)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -366,6 +384,8 @@ def commands(inputs):
                 ["filter", *cfg("overflow_omega_weight"), "--mode", "with-gyro"]))
     out.append(("montecarlo_overflow_omega_weight_with-gyro_3",
                 ["montecarlo", *cfg("overflow_omega_weight"), "--mode", "with-gyro", "--trials", "3"]))
+    for name in large_pi:  # after the overflowing weights, for the same reason
+        out.append((f"filter_{name}_no-gyro", ["filter", *cfg(name), "--mode", "no-gyro"]))
     return out
 
 
