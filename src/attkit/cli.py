@@ -169,7 +169,7 @@ def _as_rotation(x, name: str) -> np.ndarray:
     if np.abs(M.T @ M - np.eye(3)).max() <= 1e-2:
         profile = wahba.profile_from_matrix(M)
         if profile.det > 0.0:
-            return wahba.solve_attitude(profile)[0]
+            return wahba._polar(profile)
     raise ConfigError(f"{name}: not close to a rotation matrix")
 
 

@@ -237,11 +237,11 @@ def _advance(inertia, potential, C, w, span, h):
     # are two passes of one loop; stage 4 (h, weight 1) measured faster apart.
     # B bodies run _grouped_steps, one numpy call per vector operation, not
     # per component, as a call costs much the same whatever B is. Every body
-    # sees the same float operations in the same order. C moves on its
-    # components; its matrix is formed once, at the end. A stage has rate u,
-    # attitude C exp(hat(s)) (formed only in a potential), a = dexpinv(s, u),
-    # and l = vee(Omegadot): K l = K u x u + moment. q and t sum the l and
-    # the a, weights 1, 2, 2, 1, in turn.
+    # sees the same float operations in the same order, less products by the
+    # 0 entries of a principal-axis K. C moves on its components; its matrix
+    # is formed once, at the end. A stage has rate u, attitude C exp(hat(s))
+    # (formed only in a potential), a = dexpinv(s, u), and l = vee(Omegadot):
+    # K l = K u x u + moment. q and t sum the l and the a, weights 1, 2, 2, 1.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
@@ -348,20 +348,27 @@ def _grouped_steps(inertia, potential, C, w, steps):
     # broadcast; the attitude's components one (9, B) array, or (9, 1) if shared.
     c = np.asarray(C, dtype=float).reshape(-1, 9).T
     W = np.broadcast_arrays(np.array(w, dtype=float).reshape(3, -1), c[:3])[0]
-    K, K_inv = inertia.classical.T.reshape(9, 1), inertia.classical_inv.T.reshape(9, 1)
+    K, K_inv = inertia.classical, inertia.classical_inv
     G, grad = potential.coeff, potential.gradient
     free = G is not None and not G.any()
+    if np.count_nonzero(K) == np.count_nonzero(K_inv) == 3:  # SPD: no 0 on the diagonal
+        # Principal axes: one product per row; the float loop adds two by exact 0s.
+        K, K_inv, times = K.diagonal()[:, None], K_inv.diagonal()[:, None], np.multiply
+    else:
+        K, K_inv = K.T.reshape(9, 1), K_inv.T.reshape(9, 1)
+
+        def times(M, v):  # M v, M's columns as rows of a (9, 1) array
+            p = M * v.take(_REP, 0)
+            return p[:3] + p[3:6] + p[6:]
 
     def rate(u, x):  # l at rate u and, in a potential, attitude components x
-        m = K * u.take(_REP, 0)
-        d = _cross(m[:3] + m[3:6] + m[6:], u)
+        d = _cross(times(K, u), u)
         if not free:
             Gx = G if G is not None else _gradient_components(grad, x)
             p = Gx.reshape(3, 3, -1).take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
             p = p[0] + p[1] + p[2]
             d = d + (p[:3] - p[3:])
-        d = K_inv * d.take(_REP, 0)
-        return d[:3] + d[3:6] + d[6:]
+        return times(K_inv, d)
 
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0

@@ -113,8 +113,7 @@ def update_attitude(C_minus, batch: MeasurementBatch, cfg: FilterConfig) -> np.n
     L = np.asarray(C_minus, dtype=float) @ cfg.Delta + batch.refs @ (
         batch.weights[:, None] * batch.body.mT
     )
-    attitude, _ = wahba.solve_attitude(wahba.profile_from_matrix(L))
-    return attitude
+    return wahba._polar(wahba.profile_from_matrix(L))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values

@@ -105,11 +105,12 @@ def _rotate(c, v):
             if small.any():
                 a, b = np.where(small, 1.0 - t2 / 6.0, a), np.where(small, 0.5 - t2 / 24.0, b)
         # Entries 00, 11, 22, then 01, 12, 20, then 10, 21, 02, each a cyclic shift
-        # of the first (two sums and products swap operands: exact), then row-major.
+        # of the first (two sums and products swap operands: exact). p's blocks,
+        # C's entries ik times E's kj, sum in k = 0, 1, 2 order to C E.
         bp, aw = b * (w[:3] * w[1:4]), a * w[2:]
-        e = np.concatenate((1.0 - b * (sq[1:4] + sq[2:]), bp - aw, bp + aw)).take(_ROW_MAJOR, 0)
-        c, e = np.reshape(c, (3, 3, -1)), e.reshape(3, 3, -1)
-        return (c[:, :1] * e[:1] + c[:, 1:2] * e[1:2] + c[:, 2:] * e[2:]).reshape(9, -1)
+        e = np.concatenate((1.0 - b * (sq[1:4] + sq[2:]), bp - aw, bp + aw))
+        p = np.reshape(c, (9, -1)).take(_CI, 0) * e.take(_EI, 0)
+        return p[:9] + p[9:18] + p[18:]
     xx, yy, zz = x * x, y * y, z * z
     t2 = xx + yy + zz
     t = math.sqrt(t2)
@@ -138,7 +139,10 @@ def _rotate(c, v):
     )
 
 
+# Block k, row ij of _rotate's product: C's entry ik and E's kj (row _ROW_MAJOR[3k + j]).
 _ROW_MAJOR = np.array([0, 3, 8, 6, 1, 4, 5, 7, 2])
+_CI = np.array([3 * i + k for k in range(3) for i in range(3) for _ in range(3)])
+_EI = _ROW_MAJOR[[3 * k + j for k in range(3) for _ in range(3) for j in range(3)]]
 
 
 def _matrix(c):

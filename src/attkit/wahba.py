@@ -176,31 +176,40 @@ def build_profile(refs, weights, body) -> AttitudeProfile:
     return profile_from_matrix(refs @ (weights[:, None] * body.mT))
 
 
-def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for the rotation best aligning the profiled vector pairs.
+def _solver(factor):
+    # solve_attitude, or without factor only its checks and U V^T: one body, no call.
+    def solve_attitude(profile: AttitudeProfile) -> tuple[np.ndarray, np.ndarray]:
+        """Solve for the rotation best aligning the profiled vector pairs.
 
-    Returns (attitude, factor): the optimal rotation and the symmetric
-    positive definite matrix S such that attitude = S @ profile.matrix.
-    The closed form C = (L L^T)^-1/2 L is evaluated from the profile's SVD
-    L = U diag(s) V^T as C = U V^T and S = U diag(1/s) U^T: their errors
-    grow as eps times the condition number s1/s3; forming L L^T squares it.
-    A profile with non-positive determinant raises ReflectionProfile.
-    """
-    if profile._svd is None:  # built by hand: factored and checked as any other
-        profile = profile_from_matrix(profile.matrix)
-    det = so3._first_failure(profile.det > 0.0, profile.det)
-    if det is not None:
-        raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
-    U, s, Vt = profile._svd
-    s1, _, s3 = s.tolist() if s.ndim == 1 else s.T  # stack axis last
-    # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
-    bad = so3._first_failure(s3 * s3 > SQRT_EIG_RTOL * (s1 * s1), s)
-    if bad is not None:
-        raise SingularProfile(
-            f"profile effectively singular (eigenvalues {(bad[::-1] ** 2).tolist()})"
-        )
-    S = (U / s[..., None, :]) @ U.mT
-    return U @ Vt, 0.5 * (S + S.mT)
+        Returns (attitude, factor): the optimal rotation and the symmetric
+        positive definite matrix S such that attitude = S @ profile.matrix.
+        The closed form C = (L L^T)^-1/2 L is evaluated from the profile's SVD
+        L = U diag(s) V^T as C = U V^T and S = U diag(1/s) U^T: their errors
+        grow as eps times the condition number s1/s3; forming L L^T squares it.
+        A profile with non-positive determinant raises ReflectionProfile.
+        """
+        if profile._svd is None:  # built by hand: factored and checked as any other
+            profile = profile_from_matrix(profile.matrix)
+        det = so3._first_failure(profile.det > 0.0, profile.det)
+        if det is not None:
+            raise ReflectionProfile(f"profile determinant {det:.3e} is not positive")
+        U, s, Vt = profile._svd
+        s1, _, s3 = s.tolist() if s.ndim == 1 else s.T  # stack axis last
+        # The floor on the eigenvalues s^2 of L L^T, reported in ascending order
+        bad = so3._first_failure(s3 * s3 > SQRT_EIG_RTOL * (s1 * s1), s)
+        if bad is not None:
+            raise SingularProfile(
+                f"profile effectively singular (eigenvalues {(bad[::-1] ** 2).tolist()})"
+            )
+        if not factor:
+            return U @ Vt
+        S = (U / s[..., None, :]) @ U.mT
+        return U @ Vt, 0.5 * (S + S.mT)
+
+    return solve_attitude
+
+
+solve_attitude, _polar = _solver(True), _solver(False)
 
 
 def alignment_cost(attitude, refs, body, weights):

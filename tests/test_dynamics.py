@@ -1,4 +1,6 @@
 import collections
+import functools
+import itertools
 import math
 import re
 import sys
@@ -474,6 +476,59 @@ def test_grouped_step_calls_an_undeclared_gradient_as_the_float_loop_does(layout
     dynamics._advance(spec, pot, C, w, 0.0125, 5e-3)
     assert len(calls) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(calls, expected))
+
+
+_SIGNED = (0.0, -0.0, 1e-300, -1e-300, 0.7, -0.7)
+# Every rate whose components are in _SIGNED, then a NaN lane: (3, 217)
+_RATES = np.array([*itertools.product(_SIGNED, repeat=3), (0.7, np.nan, -0.0)]).T
+_ATTITUDES = np.array([so3.random_rotation(np.random.default_rng(44)) for _ in range(217)])
+_NEAR_DIAGONAL = np.diag([1.0, 2.0, 3.0])
+_NEAR_DIAGONAL[0, 1] = _NEAR_DIAGONAL[1, 0] = 1e-300
+_INERTIAS = {
+    "diag123": np.diag([1.0, 2.0, 3.0]),
+    "diag312": np.diag([3.0, 1.0, 2.0]),
+    "full": _random_spd(np.random.default_rng(45)),
+    "near_diagonal": _NEAR_DIAGONAL,
+}
+_POTENTIALS = {"free": zero_potential(), "linear": linear_potential(_P),
+               "undeclared": _UNDECLARED}
+
+
+@functools.cache
+def _float_loop(inertia, potential):
+    # Each rate of _RATES, from its own attitude, by the one-body float loop.
+    spec, pot = InertiaSpec(_INERTIAS[inertia]), _POTENTIALS[potential]
+    runs = [dynamics._advance(spec, pot, C, _one(_RATES, k), 0.0125, 5e-3)
+            for k, C in enumerate(_ATTITUDES)]
+    return np.array([C for C, _ in runs]), np.array([w for _, w in runs]).T
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("B", [2, 7, 100])
+@pytest.mark.parametrize("potential", sorted(_POTENTIALS))
+@pytest.mark.parametrize("inertia", sorted(_INERTIAS))
+def test_grouped_step_equals_the_float_loop_bit_for_bit(inertia, potential, B):
+    # Principal axes take the stacked step's diagonal path, which drops the
+    # float loop's products with an exact 0 entry of K or K^-1; the others,
+    # the 1e-300 entry included, take its full 9-product path. Either way each
+    # trial equals its own run, to the sign of a zero, with rates built from
+    # +-0, +-1e-300 and +-0.7 and a NaN lane (whose every entry is NaN). B =
+    # 100 covers all 217 rates; B = 2 and 7 take draws of them.
+    C1, w1 = _float_loop(inertia, potential)
+    spec, pot = InertiaSpec(_INERTIAS[inertia]), _POTENTIALS[potential]
+    if B == 100:
+        batches = np.arange(300).reshape(3, B) % 217
+    else:
+        batches = np.random.default_rng(B).choice(217, size=(6, B), replace=False)
+        batches[0, -1] = 216
+    for lanes in batches:
+        C, w = dynamics._advance(spec, pot, _ATTITUDES[lanes], tuple(_RATES[:, lanes]),
+                                 0.0125, 5e-3)
+        assert _same_bits(C, C1[lanes]) and _same_bits(np.array(w), w1[:, lanes])
+    assert np.isnan(C1[216]).all() and np.isnan(w1[:, 216]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,30 @@ def test_check_rotation_and_check_spd_messages_from_the_bound_kernels():
         with pytest.raises(NotSymmetricPD) as exc:
             so3.check_spd(np.diag([2.0, -0.5, 1.0]))
     assert str(exc.value) == "smallest eigenvalue -0.5 is not positive"
+
+
+@pytest.mark.parametrize("layout", ["stacked", "shared", "floats"])
+def test_stacked_rotate_equals_its_float_columns_bit_for_bit(layout):
+    # C exp(hat(v)) on B rates at once: a (9, B) attitude, one shared as
+    # (9, 1), or nine floats. Each column equals the float update of its own
+    # attitude and rate, to the sign of a zero: rates with signed zeros, a
+    # series-branch angle, large angles and a NaN.
+    rng = np.random.default_rng(46)
+    signed = [0.0, -0.0, 1e-300, -1e-300, 1e-7, -0.7, 2.5]
+    v = np.array([rng.choice(signed, size=3) for _ in range(60)] + [[0.3, np.nan, -0.0]]).T
+    v[:, :20] = rng.normal(size=(3, 20))
+    B = v.shape[1]
+    Cs = np.array([so3.random_rotation(rng) for _ in range(B)])
+    if layout == "stacked":
+        c, columns = so3._components(Cs), [so3._components(C) for C in Cs]
+    else:
+        c = so3._components(Cs[0])
+        columns = [c] * B
+        if layout == "shared":
+            c = np.reshape(c, (9, 1))
+    got = so3._rotate(c, v)
+    expected = np.array([so3._rotate(ck, v[:, k].tolist()) for k, ck in enumerate(columns)]).T
+    assert got.shape == (9, B)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.isnan(got[:, -1]).all()

@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 308 attkit CLI commands.
+"""Write the outputs of a fixed set of 326 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -59,7 +59,12 @@ The commands:
 * large no-gyro rate weights (see ``_large_pi``): ``filter --mode no-gyro``
   with a pi of 1e7, whose update's symmetric residual is rounding at the
   weight's scale, and of 1.7e308, whose update's right side overflows.
-  They come last, for the same reason.
+  They come after the overflowing weights, for the same reason;
+* bodies in principal axes (see ``_principal_axes``): a spin about a
+  principal axis at a negative rate, free and in a linear potential, and a
+  second moment that is diagonal but for one entry of 1e-17. On each:
+  ``filter`` in both modes, and ``montecarlo`` in both modes with
+  ``--trials`` 3 and 7. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -276,6 +281,23 @@ def _large_pi(rng):
     return files
 
 
+def _principal_axes(rng):
+    """Run files whose campaigns step a body in principal axes: a spin about
+    the third axis at a negative rate, its other two components exact zeros,
+    free and in a linear potential; and a second moment that is diagonal but
+    for one entry of 1e-17, which is not principal."""
+    spin = dict(inertia=[1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0], omega=[0.0, 0.0, -1.1])
+    files = {
+        f"principal_{pot}": _run_file(rng, potential=pot == "linear", noise=NOISES["both"],
+                                      schedule="regular", **spin)
+        for pot in ("zero", "linear")
+    }
+    files["near_principal"] = _run_file(rng, potential=False, noise=NOISES["both"],
+                                        schedule="regular",
+                                        inertia=[1.0, 1e-17, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0])
+    return files
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -321,6 +343,8 @@ def commands(inputs):
     files.update(overflow)
     large_pi = _large_pi(np.random.default_rng(20261027))
     files.update(large_pi)
+    principal = _principal_axes(np.random.default_rng(20261028))
+    files.update(principal)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -386,6 +410,12 @@ def commands(inputs):
                 ["montecarlo", *cfg("overflow_omega_weight"), "--mode", "with-gyro", "--trials", "3"]))
     for name in large_pi:  # after the overflowing weights, for the same reason
         out.append((f"filter_{name}_no-gyro", ["filter", *cfg(name), "--mode", "no-gyro"]))
+    for name in principal:  # after the large weights, for the same reason
+        for mode in MODES:
+            out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode]))
+            for trials in (3, 7):
+                out.append((f"montecarlo_{name}_{mode}_{trials}",
+                            ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
     return out
 
 
