@@ -8,144 +8,16 @@ potential, continuous-discrete filters with and without rate measurements,
 synthetic measurement generation, and a command-line harness.
 """
 
-from .errors import (
-    AttKitError,
-    ConfigError,
-    GoldenMismatch,
-    InconsistentUpdate,
-    MissingGyro,
-    NotRotation,
-    NotSkew,
-    NotSymmetricPD,
-    PotentialGradientNotSkewCompatible,
-    ReflectionProfile,
-    ShapeMismatch,
-    SingularProfile,
-    StepTooLarge,
-)
-from .so3 import (
-    attitude_error_matrix,
-    check_rotation,
-    check_skew,
-    check_spd,
-    exp_so3,
-    hat,
-    principal_angle,
-    random_rotation,
-    trace_inner,
-    vee,
-)
-from .wahba import (
-    AttitudeProfile,
-    alignment_cost,
-    build_profile,
-    check_local_minimality,
-    check_vector_set,
-    check_weights,
-    profile_from_matrix,
-    solve_attitude,
-)
-from .dynamics import (
-    BodyState,
-    InertiaSpec,
-    IntegratorConfig,
-    PotentialModel,
-    PotentialReport,
-    euler_rhs,
-    j_apply,
-    j_solve,
-    kinetic_energy,
-    linear_potential,
-    propagate,
-    spatial_momentum,
-    validate_potential,
-    zero_potential,
-)
-from .filters import (
-    FilterConfig,
-    FilterEstimate,
-    MeasurementBatch,
-    initial_estimate,
-    run_filter,
-    update_attitude,
-    update_omega_no_gyro,
-    update_omega_with_gyro,
-)
-from .simulate import (
-    NoiseSpec,
-    ScenarioSpec,
-    clustered_references,
-    gen_batches_from_truth,
-    gen_gyro_measurement,
-    gen_truth,
-    gen_vector_measurements,
-    make_rng,
-    simulate_scenario,
-)
+from .errors import *
+from .so3 import *
+from .wahba import *
+from .dynamics import *
+from .filters import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttKitError",
-    "AttitudeProfile",
-    "BodyState",
-    "ConfigError",
-    "FilterConfig",
-    "FilterEstimate",
-    "GoldenMismatch",
-    "InconsistentUpdate",
-    "InertiaSpec",
-    "IntegratorConfig",
-    "MeasurementBatch",
-    "MissingGyro",
-    "NoiseSpec",
-    "NotRotation",
-    "NotSkew",
-    "NotSymmetricPD",
-    "PotentialGradientNotSkewCompatible",
-    "PotentialModel",
-    "PotentialReport",
-    "ReflectionProfile",
-    "ScenarioSpec",
-    "ShapeMismatch",
-    "SingularProfile",
-    "StepTooLarge",
-    "alignment_cost",
-    "attitude_error_matrix",
-    "build_profile",
-    "check_local_minimality",
-    "check_rotation",
-    "check_skew",
-    "check_spd",
-    "check_vector_set",
-    "check_weights",
-    "clustered_references",
-    "euler_rhs",
-    "exp_so3",
-    "gen_batches_from_truth",
-    "gen_gyro_measurement",
-    "gen_truth",
-    "gen_vector_measurements",
-    "hat",
-    "initial_estimate",
-    "j_apply",
-    "j_solve",
-    "kinetic_energy",
-    "linear_potential",
-    "make_rng",
-    "principal_angle",
-    "profile_from_matrix",
-    "propagate",
-    "random_rotation",
-    "run_filter",
-    "simulate_scenario",
-    "solve_attitude",
-    "spatial_momentum",
-    "trace_inner",
-    "update_attitude",
-    "update_omega_no_gyro",
-    "update_omega_with_gyro",
-    "validate_potential",
-    "vee",
-    "zero_potential",
-]
+__all__ = sorted(
+    errors.__all__ + so3.__all__ + wahba.__all__
+    + dynamics.__all__ + filters.__all__ + simulate.__all__
+)

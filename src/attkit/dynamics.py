@@ -28,6 +28,23 @@ from . import so3
 from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
 from .so3 import _components, _rotate
 
+__all__ = [
+    "BodyState",
+    "InertiaSpec",
+    "IntegratorConfig",
+    "PotentialModel",
+    "PotentialReport",
+    "euler_rhs",
+    "j_apply",
+    "j_solve",
+    "kinetic_energy",
+    "linear_potential",
+    "propagate",
+    "spatial_momentum",
+    "validate_potential",
+    "zero_potential",
+]
+
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
 # A declared gradient is checked at the identity and at this rotation.

@@ -1,5 +1,21 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "AttKitError",
+    "ConfigError",
+    "GoldenMismatch",
+    "InconsistentUpdate",
+    "MissingGyro",
+    "NotRotation",
+    "NotSkew",
+    "NotSymmetricPD",
+    "PotentialGradientNotSkewCompatible",
+    "ReflectionProfile",
+    "ShapeMismatch",
+    "SingularProfile",
+    "StepTooLarge",
+]
+
 
 class AttKitError(Exception):
     """Base class for all package errors."""

@@ -26,6 +26,17 @@ from . import so3, wahba
 from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance
 from .errors import InconsistentUpdate, MissingGyro
 
+__all__ = [
+    "FilterConfig",
+    "FilterEstimate",
+    "MeasurementBatch",
+    "initial_estimate",
+    "run_filter",
+    "update_attitude",
+    "update_omega_no_gyro",
+    "update_omega_with_gyro",
+]
+
 # Allowed symmetric residual in the rate-matching update equation, relative
 # to the scale of its right side (see update_omega_no_gyro).
 UPDATE_SYM_TOL = 1e-9
@@ -229,13 +240,13 @@ def run_filter(
             f"initial estimate time {init.t!r} does not match first epoch {times[0]!r}"
         )
     C0, Omega0 = (None, None) if init is None else (init.C_plus, init.Omega_plus)
-    return list(_estimates(batches, inertia, potential, cfg, mode, C0, Omega0))
+    return [est for _, est in _estimates(batches, inertia, potential, cfg, mode, C0, Omega0)]
 
 
 def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Omega0=None):
-    """Yield one estimate per batch of any iterable: the one epoch loop.
+    """Yield each batch of any iterable with its estimate: the one epoch loop.
 
-    The first is initial_estimate(batch, C0, Omega0); every later one
+    The first estimate is initial_estimate(batch, C0, Omega0); every later one
     propagates the previous plus estimate to batch.t, then updates. Stacked
     estimates or batches advance B trials at once, each check per trial."""
     if mode not in ("no_gyro", "with_gyro"):
@@ -257,4 +268,4 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
                     Omega_minus, batch.omega_meas, batch.omega_weight, cfg.Gamma
                 )
             est = FilterEstimate(batch.t, C_minus, C_plus, Omega_minus, Omega_plus)
-        yield est
+        yield batch, est

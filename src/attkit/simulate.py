@@ -23,6 +23,18 @@ from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, 
 from .errors import ShapeMismatch
 from .filters import FilterConfig, MeasurementBatch, _estimates
 
+__all__ = [
+    "NoiseSpec",
+    "ScenarioSpec",
+    "clustered_references",
+    "gen_batches_from_truth",
+    "gen_gyro_measurement",
+    "gen_truth",
+    "gen_vector_measurements",
+    "make_rng",
+    "simulate_scenario",
+]
+
 
 def make_rng(seed) -> np.random.Generator:
     """Counter-based generator (Philox) for reproducible, splittable streams."""
@@ -257,10 +269,10 @@ def run_metrics(
     # overhead that plain floats do not.
     rngs = [make_rng(master_seed + i) for i in range(trials)]
     rng = rngs[0] if trials == 1 else rngs
-    # One epoch's measurements at a time, paired with the estimate they update;
+    # One epoch's measurements at a time, each with the estimate it updates;
     # without noise they are one measurement shared by every trial.
-    drawn = (batch := b for b in _batches(truth, scn, rng, omega_weight))
-    epochs = ((batch, est) for est in _estimates(drawn, scn.inertia, scn.potential, fcfg, mode))
+    drawn = _batches(truth, scn, rng, omega_weight)
+    epochs = _estimates(drawn, scn.inertia, scn.potential, fcfg, mode)
     # One trial runs every epoch before any metric, about 3 % faster over 400
     # epochs than interleaving them; a campaign keeps one epoch's stacks at a time.
     if trials == 1:

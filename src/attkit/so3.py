@@ -22,6 +22,19 @@ import numpy as np
 
 from .errors import NotRotation, NotSkew, NotSymmetricPD, ShapeMismatch
 
+__all__ = [
+    "attitude_error_matrix",
+    "check_rotation",
+    "check_skew",
+    "check_spd",
+    "exp_so3",
+    "hat",
+    "principal_angle",
+    "random_rotation",
+    "trace_inner",
+    "vee",
+]
+
 # Orthogonality/determinant slack for rotations. Loose enough that long
 # integrator runs pass without re-orthogonalization.
 ROTATION_TOL = 1e-9
@@ -56,9 +69,9 @@ def hat(v) -> np.ndarray:
     return W
 
 
-def vee(X, tol: float = SKEW_TOL) -> np.ndarray:
-    """Inverse of hat. Raises NotSkew if X is not skew within tol."""
-    return _axis(check_skew(X, tol))
+def vee(X) -> np.ndarray:
+    """Inverse of hat. Raises NotSkew if X is not skew within SKEW_TOL."""
+    return _axis(check_skew(X))
 
 
 def _axis(X) -> np.ndarray:
@@ -239,25 +252,25 @@ def _first_failure(ok, value):
     return None if ok.all() else value[~ok][0]
 
 
-def check_skew(X, tol: float = SKEW_TOL) -> np.ndarray:
+def check_skew(X) -> np.ndarray:
     """Validate a skew-symmetric matrix; returns it as a float array."""
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         raise ShapeMismatch(f"expected 3x3 matrix, got {X.shape}")
     resid = np.abs(X + X.mT).max()
-    if not resid <= tol:  # NaN fails
-        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {tol:.1e}")
+    if not resid <= SKEW_TOL:  # NaN fails
+        raise NotSkew(f"symmetry residual {resid:.3e} exceeds {SKEW_TOL:.1e}")
     return X
 
 
-def check_spd(S, sym_tol: float = SYM_TOL) -> np.ndarray:
+def check_spd(S) -> np.ndarray:
     """Validate a symmetric positive definite matrix; returns it as a float array."""
     S = np.asarray(S, dtype=float)
     if S.shape != (3, 3):
         raise NotSymmetricPD(f"expected 3x3 matrix, got {S.shape}")
     resid = np.abs(S - S.T).max()
-    if not resid <= sym_tol:
-        raise NotSymmetricPD(f"symmetry residual {resid:.3e} exceeds {sym_tol:.1e}")
+    if not resid <= SYM_TOL:
+        raise NotSymmetricPD(f"symmetry residual {resid:.3e} exceeds {SYM_TOL:.1e}")
     lo = _eigvalsh(S)[0]  # of finite entries: the symmetry check passed
     if not lo > 0.0:
         raise NotSymmetricPD(f"smallest eigenvalue {lo} is not positive")

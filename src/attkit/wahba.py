@@ -48,6 +48,17 @@ import numpy as np
 from . import so3
 from .errors import ReflectionProfile, ShapeMismatch, SingularProfile
 
+__all__ = [
+    "AttitudeProfile",
+    "alignment_cost",
+    "build_profile",
+    "check_local_minimality",
+    "check_vector_set",
+    "check_weights",
+    "profile_from_matrix",
+    "solve_attitude",
+]
+
 # Rank floor for vector sets: third singular value relative to the first.
 RANK_RTOL = 1e-6
 # Nonsingularity floor for the profile determinant relative to norm(L)^3.
