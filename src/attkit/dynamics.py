@@ -9,11 +9,11 @@ G = dV/dC is G^T C - C^T G.
 
 Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
-4th-order Munthe-Kaas Runge-Kutta scheme. One body is stepped on its
-attitude's nine components as floats, in a loop written out with no call
-per stage; B bodies in a loop of one numpy call per (3, B) or (9, B) vector
-operation, with the same float operations. Both form C exp(hat(th)) with
-one function, so3._rotate, which holds the one Rodrigues formula.
+4th-order Munthe-Kaas Runge-Kutta scheme, in the principal frame of the
+inertia, where Euler's equation takes three products. One body is stepped
+on floats, in a loop written out with no call per stage; B bodies in a loop
+of one numpy call per (3, B) or (9, B) vector operation, with the same float
+operations. Both form C exp(hat(th)) with so3._rotate, the one Rodrigues formula.
 """
 
 from __future__ import annotations
@@ -60,19 +60,31 @@ class InertiaSpec:
     distribution, in kg m^2). The classical inertia matrix acting on
     axis-angle coordinates, trace(S) I - S, is cached together with its
     inverse; it is automatically positive definite because each of its
-    eigenvalues is a sum of two eigenvalues of S.
+    eigenvalues is a sum of two eigenvalues of S. Its principal frame, where
+    the integrator steps, is cached too: axes is a proper rotation R with
+    R^T K R = diag(moments), or None when K is diagonal (moments: its diagonal).
     """
 
     second_moment: np.ndarray
     classical: np.ndarray = field(init=False)
     classical_inv: np.ndarray = field(init=False)
+    axes: np.ndarray | None = field(init=False)
+    moments: np.ndarray = field(init=False)
+    # The (6, 1) column of j_i = (k_{i+1} - k_{i+2}) / k_i, then 1 / k_i (see _advance)
+    _euler: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S = so3.check_spd(self.second_moment)
-        object.__setattr__(self, "second_moment", S)
         K = np.trace(S) * np.eye(3) - S
-        object.__setattr__(self, "classical", K)
-        object.__setattr__(self, "classical_inv", np.linalg.inv(K))
+        # SPD: no 0 on the diagonal, so 3 non-zero entries make K diagonal
+        k, R = (K.diagonal().copy(), None) if np.count_nonzero(K) == 3 else np.linalg.eigh(K)
+        if R is not None and np.linalg.det(R) < 0.0:  # the cross products need det R = +1
+            R[:, 0] = -R[:, 0]
+        euler = np.concatenate(((np.roll(k, -1) - np.roll(k, -2)) / k, 1.0 / k))[:, None]
+        cached = {"second_moment": S, "classical": K, "classical_inv": np.linalg.inv(K),
+                  "axes": R, "moments": k, "_euler": euler}
+        for name, value in cached.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_classical(cls, K) -> "InertiaSpec":
@@ -189,8 +201,8 @@ def euler_rhs(
     with moment = G^T C - C^T G for the potential gradient G at C. In axis
     coordinates J(X) = hat(K vee(X)) for the classical inertia K, and the
     commutator is a cross product: K vee(Omegadot) = K w x w + vee(moment)
-    at w = vee(Omega), as the integrator's steps evaluate it. A non-finite
-    result can only come from a malformed gradient (NaN or inf).
+    at w = vee(Omega). (The integrator evaluates it in K's principal frame.)
+    A non-finite result can only come from a malformed gradient (NaN or inf).
     """
     C, Omega = state.C, state.Omega
     P = _gradient(potential.gradient, C).T @ C
@@ -211,12 +223,24 @@ def _gradient(gradient, C):
     return G
 
 
-def _gradient_components(gradient, c):
+def _gradient_components(gradient, c, axes=None):
     # An undeclared gradient at the attitude with components c, or at each
-    # attitude of a stack, taken one 3x3 attitude at a time.
-    C = so3._matrix(c)
-    G = _gradient(gradient, C) if C.ndim == 2 else [_gradient(gradient, m) for m in C]
-    return _components(G)
+    # attitude of a stack, taken one 3x3 attitude at a time. With axes R, c
+    # is C R, in the principal frame: G is taken at C, and given as G R.
+    C = so3._matrix(_times(c, axes, back=True))
+    G = _components(_gradient(gradient, C) if C.ndim == 2 else [_gradient(gradient, m) for m in C])
+    return _times(G, axes)
+
+
+def _times(x, R, back=False):
+    # The components of X R, or of X R^T if back, row by row, from X's: 3n
+    # floats, or 3n (B,) arrays. Each entry sums its three products in k = 0,
+    # 1, 2 order, not matmul's, so a stack's lanes equal one body's values.
+    # x itself if R is None.
+    if R is None:
+        return x
+    cols = (R if back else R.T).tolist()
+    return [a * p + b * q + e * r for a, b, e in zip(x[0::3], x[1::3], x[2::3]) for p, q, r in cols]
 
 
 def propagate(
@@ -247,33 +271,35 @@ def propagate(
 def _advance(inertia, potential, C, w, span, h):
     # Steps (C, w) over span >= 0 with the Munthe-Kaas RK4 scheme: full steps
     # of h, then a partial step. The rate w is three floats, or three (B,)
-    # arrays for B bodies, whose fastest one the pi/4 guard checks. One body
-    # runs the loop below, written out on floats, since at 3-vector sizes a
-    # call costs as much as the arithmetic; a free body's one call per step
-    # is the attitude update so3._rotate. Stages 2 and 3 (step h/2, weight 2)
-    # are two passes of one loop; stage 4 (h, weight 1) measured faster apart.
-    # B bodies run _grouped_steps, one numpy call per vector operation, not
-    # per component, as a call costs much the same whatever B is. Every body
-    # sees the same float operations in the same order, less products by the
-    # 0 entries of a principal-axis K. C moves on its components; its matrix
-    # is formed once, at the end. A stage has rate u, attitude C exp(hat(s))
-    # (formed only in a potential), a = dexpinv(s, u), and l = vee(Omegadot):
-    # K l = K u x u + moment. q and t sum the l and the a, weights 1, 2, 2, 1.
+    # arrays for B bodies, whose fastest one the pi/4 guard checks. The steps
+    # run in the inertia's principal frame R, entered with C R, R^T w and a
+    # declared gradient's A R, and left with C R^T and R w, by _times. There
+    # Euler's equation takes three products: l_i = j_i u_{i+1} u_{i+2} + m_i
+    # / k_i. One body runs _float_steps, B bodies _grouped_steps, each trial
+    # with the float operations of its own run. C moves on its components.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
-    if rem <= 1e-12 * max(1.0, abs(span)):
-        rem = 0.0
-    steps = ((h, n_full), (rem, int(rem > 0.0)))
-    if getattr(w[0], "ndim", 0) or C.ndim > 2:
-        return _grouped_steps(inertia, potential, C, w, steps)
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = inertia.classical.ravel().tolist()
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia.classical_inv.ravel().tolist()
-    g = None if potential.coeff is None else potential.coeff.ravel().tolist()
-    free, grad = g is not None and not any(g), potential.gradient
-    c = _components(C)
-    w0, w1, w2 = map(float, w)
+    steps = ((h, n_full), (rem, int(rem > 1e-12 * max(1.0, abs(span)))))
+    A, R = potential.coeff, inertia.axes
+    free = A is not None and not any(A.ravel().tolist())  # no moment: g and grad are None
+    g = None if free or A is None else _times(A.ravel().tolist(), R)
+    grad = None if free else lambda x: _gradient_components(potential.gradient, x, R)
+    stacked = getattr(w[0], "ndim", 0) or C.ndim > 2
+    c, w = _times(_components(C), R), _times(w if stacked else [*map(float, w)], R)
+    c, w = (_grouped_steps if stacked else _float_steps)(inertia._euler, g, grad, c, w, steps)
+    return so3._matrix(_times(c, R, back=True)), tuple(_times(w, R, back=True))
+
+
+def _float_steps(euler, g, grad, c, w, steps):
+    # One body, on floats: at 3-vector sizes a call costs as much as the
+    # arithmetic. A stage has rate u, attitude x = C exp(hat(s)) (formed in a
+    # potential only), a = dexpinv(s, u) and l = vee(Omegadot); q and t sum the
+    # l and the a, weights 1, 2, 2, 1. Stages 2 and 3 (step h/2, weight 2) are
+    # two passes of one loop; stage 4 (h, weight 1) measured faster apart.
+    j0, j1, j2, r0, r1, r2 = euler.ravel().tolist()
+    w0, w1, w2 = w
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
         for _ in range(count):
@@ -281,20 +307,15 @@ def _advance(inertia, potential, C, w, span, h):
             if wmag * step > MAX_STEP_ROTATION:
                 raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
             # Stage 1: u = a = w at C itself.
-            m0 = k00 * w0 + k01 * w1 + k02 * w2
-            m1 = k10 * w0 + k11 * w1 + k12 * w2
-            m2 = k20 * w0 + k21 * w1 + k22 * w2
-            d0, d1, d2 = m1 * w2 - m2 * w1, m2 * w0 - m0 * w2, m0 * w1 - m1 * w0
-            if not free:
+            l0, l1, l2 = j0 * (w1 * w2), j1 * (w2 * w0), j2 * (w0 * w1)
+            if grad is not None:
                 # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
                 x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, c)
-                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-            l0 = i00 * d0 + i01 * d1 + i02 * d2
-            l1 = i10 * d0 + i11 * d1 + i12 * d2
-            l2 = i20 * d0 + i21 * d1 + i22 * d2
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(c)
+                d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+                l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
             q0, q1, q2 = l0, l1, l2
             a0, a1, a2 = t0, t1, t2 = w0, w1, w2
             # Stages 2 and 3: s = h/2 w, then h/2 a. dexpinv(s, u) = u + 1/2 s x u
@@ -308,19 +329,14 @@ def _advance(inertia, potential, C, w, span, h):
                 a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
                 a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
                 t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
-                m0 = k00 * u0 + k01 * u1 + k02 * u2
-                m1 = k10 * u0 + k11 * u1 + k12 * u2
-                m2 = k20 * u0 + k21 * u1 + k22 * u2
-                d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-                if not free:
+                l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
+                if grad is not None:
                     x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-                    d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                    d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                    d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-                l0 = i00 * d0 + i01 * d1 + i02 * d2
-                l1 = i10 * d0 + i11 * d1 + i12 * d2
-                l2 = i20 * d0 + i21 * d1 + i22 * d2
+                    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(x)
+                    d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                    d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                    d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+                    l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
                 q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
             # Stage 4: s = h a.
             s0, s1, s2 = dt * a0, dt * a1, dt * a2
@@ -330,29 +346,24 @@ def _advance(inertia, potential, C, w, span, h):
             a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
             a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
             t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
-            m0 = k00 * u0 + k01 * u1 + k02 * u2
-            m1 = k10 * u0 + k11 * u1 + k12 * u2
-            m2 = k20 * u0 + k21 * u1 + k22 * u2
-            d0, d1, d2 = m1 * u2 - m2 * u1, m2 * u0 - m0 * u2, m0 * u1 - m1 * u0
-            if not free:
+            l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
+            if grad is not None:
                 x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or _gradient_components(grad, x)
-                d0 += (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 += (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 += (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-            q0 += i00 * d0 + i01 * d1 + i02 * d2
-            q1 += i10 * d0 + i11 * d1 + i12 * d2
-            q2 += i20 * d0 + i21 * d1 + i22 * d2
+                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(x)
+                d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
+                d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
+                d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+                l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
+            q0, q1, q2 = q0 + l0, q1 + l1, q2 + l2
             # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
             c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
             w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
-    return so3._matrix(c), (w0, w1, w2)
+    return c, (w0, w1, w2)
 
 
 # Rows i+1, i+2, i+2, i+1 (mod 3): taken of two vectors, or of C's and G's
 # columns, their products hold the two halves of a x b and vee(G^T C - C^T G).
 _NP, _PN = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
-_REP = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])  # u's rows, one per column of K in K u
 
 
 def _cross(a, b):
@@ -360,32 +371,23 @@ def _cross(a, b):
     return p[:3] - p[3:]
 
 
-def _grouped_steps(inertia, potential, C, w, steps):
-    # _advance's loop for B bodies: each vector one (3, B) array, shared rates
-    # broadcast; the attitude's components one (9, B) array, or (9, 1) if shared.
-    c = np.asarray(C, dtype=float).reshape(-1, 9).T
+def _grouped_steps(euler, g, grad, c, w, steps):
+    # B bodies, one numpy call per vector operation, as a call costs much the
+    # same whatever B is: vectors are (3, B) arrays, shared rates broadcast;
+    # the attitude's components a (9, B) array, or (9, 1) if shared.
+    c = np.reshape(c, (9, -1))
     W = np.broadcast_arrays(np.array(w, dtype=float).reshape(3, -1), c[:3])[0]
-    K, K_inv = inertia.classical, inertia.classical_inv
-    G, grad = potential.coeff, potential.gradient
-    free = G is not None and not G.any()
-    if np.count_nonzero(K) == np.count_nonzero(K_inv) == 3:  # SPD: no 0 on the diagonal
-        # Principal axes: one product per row; the float loop adds two by exact 0s.
-        K, K_inv, times = K.diagonal()[:, None], K_inv.diagonal()[:, None], np.multiply
-    else:
-        K, K_inv = K.T.reshape(9, 1), K_inv.T.reshape(9, 1)
-
-        def times(M, v):  # M v, M's columns as rows of a (9, 1) array
-            p = M * v.take(_REP, 0)
-            return p[:3] + p[3:6] + p[6:]
+    J, k_inv = euler[:3], euler[3:]  # j and 1 / k
+    G = None if g is None else np.reshape(g, (3, 3, 1))
 
     def rate(u, x):  # l at rate u and, in a potential, attitude components x
-        d = _cross(times(K, u), u)
-        if not free:
-            Gx = G if G is not None else _gradient_components(grad, x)
-            p = Gx.reshape(3, 3, -1).take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
-            p = p[0] + p[1] + p[2]
-            d = d + (p[:3] - p[3:])
-        return times(K_inv, d)
+        l = J * (u.take(_NP[:3], 0) * u.take(_PN[:3], 0))  # j_i u_{i+1} u_{i+2}
+        if grad is None:
+            return l
+        Gx = G if G is not None else np.reshape(grad(x), (3, 3, -1))
+        p = Gx.take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
+        p = p[0] + p[1] + p[2]
+        return l + k_inv * (p[:3] - p[3:])
 
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
@@ -402,11 +404,11 @@ def _grouped_steps(inertia, potential, C, w, steps):
                 e = _cross(s, u)
                 a = u + 0.5 * e + _cross(s, e) / 12.0
                 t = t + a if last else t + 2.0 * a
-                l = rate(u, None if free else _rotate(c, s))
+                l = rate(u, None if grad is None else _rotate(c, s))
                 q = q + l if last else q + 2.0 * l
             c = _rotate(c, sixth * t)
             W = W + sixth * q
-    return so3._matrix(np.broadcast_to(c, (9, W.shape[1]))), tuple(W)
+    return np.broadcast_to(c, (9, W.shape[1])), W
 
 
 @dataclass(frozen=True)
@@ -429,7 +431,8 @@ def validate_potential(
     Samples random attitudes and random unit tangent directions, compares
     the directional derivative predicted by the gradient with a central
     finite difference of the value, and reports the worst relative error
-    (relative to the finite-difference estimate).
+    (relative to the finite-difference estimate). A NaN value or gradient
+    makes that error NaN, which fails.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -445,7 +448,7 @@ def validate_potential(
             np.tensordot(np.asarray(potential.gradient(C), dtype=float), C @ so3.hat(u))
         )
         rel = abs(predicted - fd) / max(abs(fd), 1e-12)
-        worst = max(worst, rel)
+        worst = float(np.maximum(worst, rel))  # max() would drop a NaN rel
     return PotentialReport(max_rel_error=worst, n_samples=n_samples, passed=worst <= 1e-5)
 
 

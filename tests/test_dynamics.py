@@ -484,7 +484,12 @@ _RATES = np.array([*itertools.product(_SIGNED, repeat=3), (0.7, np.nan, -0.0)]).
 _ATTITUDES = np.array([so3.random_rotation(np.random.default_rng(44)) for _ in range(217)])
 _NEAR_DIAGONAL = np.diag([1.0, 2.0, 3.0])
 _NEAR_DIAGONAL[0, 1] = _NEAR_DIAGONAL[1, 0] = 1e-300
+# Two equal second moments in a rotated frame: a degenerate eigenspace,
+# whose principal axes eigh picks as it likes within it.
+_Q = so3.random_rotation(np.random.default_rng(46))
+_AXISYMMETRIC = _Q @ np.diag([1.5, 1.5, 2.5]) @ _Q.T
 _INERTIAS = {
+    "axisymmetric": 0.5 * (_AXISYMMETRIC + _AXISYMMETRIC.T),
     "diag123": np.diag([1.0, 2.0, 3.0]),
     "diag312": np.diag([3.0, 1.0, 2.0]),
     "full": _random_spd(np.random.default_rng(45)),
@@ -511,9 +516,9 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("potential", sorted(_POTENTIALS))
 @pytest.mark.parametrize("inertia", sorted(_INERTIAS))
 def test_grouped_step_equals_the_float_loop_bit_for_bit(inertia, potential, B):
-    # Principal axes take the stacked step's diagonal path, which drops the
-    # float loop's products with an exact 0 entry of K or K^-1; the others,
-    # the 1e-300 entry included, take its full 9-product path. Either way each
+    # A diagonal K is stepped as it is; any other, the 1e-300 entry and the
+    # degenerate axisymmetric one included, in its principal frame, which both
+    # loops enter and leave with the same float operations. Either way each
     # trial equals its own run, to the sign of a zero, with rates built from
     # +-0, +-1e-300 and +-0.7 and a NaN lane (whose every entry is NaN). B =
     # 100 covers all 217 rates; B = 2 and 7 take draws of them.
@@ -559,3 +564,18 @@ def test_validate_catches_wrong_gradient_scale():
     report = validate_potential(wrong)
     assert not report.passed
     assert 0.5 < report.max_rel_error < 1.5
+
+
+@pytest.mark.parametrize("nan_in", ["gradient", "value"])
+def test_validate_fails_a_nan_gradient_or_value(nan_in):
+    # A NaN relative error must reach the reported maximum and fail it; a
+    # max() that keeps the running 0.0 would pass the potential.
+    def value(C):
+        return math.nan if nan_in == "value" else float(np.trace(C))
+
+    def gradient(C):
+        return np.full((3, 3), np.nan) if nan_in == "gradient" else np.eye(3)
+
+    report = validate_potential(PotentialModel(value=value, gradient=gradient))
+    assert math.isnan(report.max_rel_error)
+    assert report.passed is False

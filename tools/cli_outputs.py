@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 326 attkit CLI commands.
+"""Write the outputs of a fixed set of 338 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
@@ -64,7 +64,12 @@ The commands:
   principal axis at a negative rate, free and in a linear potential, and a
   second moment that is diagonal but for one entry of 1e-17. On each:
   ``filter`` in both modes, and ``montecarlo`` in both modes with
-  ``--trials`` 3 and 7. They come last, for the same reason.
+  ``--trials`` 3 and 7. They come after the large weights, for the same
+  reason;
+* axisymmetric bodies in a rotated frame (see ``_axisymmetric``): two
+  equal second moments, a degenerate eigenspace, free and in a linear
+  potential. On each: ``filter`` in both modes, and ``montecarlo`` in both
+  modes with ``--trials`` 3 and 7. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -298,6 +303,20 @@ def _principal_axes(rng):
     return files
 
 
+def _axisymmetric(rng):
+    """Run files whose body has two equal second moments in a rotated frame,
+    free and in a linear potential: the principal frame's axes may be any
+    orthonormal pair of the degenerate eigenspace."""
+    files = {}
+    for pot in ("zero", "linear"):
+        frame, (a, b) = _rotation(rng), rng.uniform(1.0, 3.0, size=2)
+        S = frame @ np.diag([a, a, b]) @ frame.T
+        files[f"axisymmetric_{pot}"] = _run_file(rng, potential=pot == "linear",
+                                                 noise=NOISES["both"], schedule="regular",
+                                                 inertia=(0.5 * (S + S.T)).ravel().tolist())
+    return files
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -345,6 +364,8 @@ def commands(inputs):
     files.update(large_pi)
     principal = _principal_axes(np.random.default_rng(20261028))
     files.update(principal)
+    axisymmetric = _axisymmetric(np.random.default_rng(20261029))
+    files.update(axisymmetric)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -410,7 +431,7 @@ def commands(inputs):
                 ["montecarlo", *cfg("overflow_omega_weight"), "--mode", "with-gyro", "--trials", "3"]))
     for name in large_pi:  # after the overflowing weights, for the same reason
         out.append((f"filter_{name}_no-gyro", ["filter", *cfg(name), "--mode", "no-gyro"]))
-    for name in principal:  # after the large weights, for the same reason
+    for name in [*principal, *axisymmetric]:  # after the large weights, for the same reason
         for mode in MODES:
             out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode]))
             for trials in (3, 7):
