@@ -14,6 +14,13 @@ inertia, where Euler's equation takes three products. One body is stepped
 on floats, in a loop written out with no call per stage; B bodies in a loop
 of one numpy call per (3, B) or (9, B) vector operation, with the same float
 operations. Both form C exp(hat(th)) with so3._rotate, the one Rodrigues formula.
+
+A stage's moment, at X = C exp(hat(s)), takes one of two forms. An
+undeclared gradient is called at X, formed with so3._rotate. A declared
+constant gradient G forms no X: with M = G^T C, formed once a step, the
+moment is linear in exp(hat(s)) and takes the closed form of
+_stage_moment: so3._rotate's Rodrigues coefficients and about 30
+products, where forming X and then its moment take about 60.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ class InertiaSpec:
     moments: np.ndarray = field(init=False)
     # The (6, 1) column of j_i = (k_{i+1} - k_{i+2}) / k_i, then 1 / k_i (see _advance)
     _euler: np.ndarray = field(init=False, repr=False)
+    # R's columns and R^T's, as lists of float rows, for _times; None with axes
+    _columns: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         S = so3.check_spd(self.second_moment)
@@ -82,7 +91,8 @@ class InertiaSpec:
             R[:, 0] = -R[:, 0]
         euler = np.concatenate(((np.roll(k, -1) - np.roll(k, -2)) / k, 1.0 / k))[:, None]
         cached = {"second_moment": S, "classical": K, "classical_inv": np.linalg.inv(K),
-                  "axes": R, "moments": k, "_euler": euler}
+                  "axes": R, "moments": k, "_euler": euler,
+                  "_columns": None if R is None else (R.T.tolist(), R.tolist())}
         for name, value in cached.items():
             object.__setattr__(self, name, value)
 
@@ -105,9 +115,11 @@ class PotentialModel:
     coeff declares a linear potential V = trace(A^T C) by its constant
     gradient A; construction raises ValueError unless gradient returns
     exactly A at the identity and at one other fixed rotation. The
-    integrator then never calls gradient. An all-zero coeff is a free body,
-    whose steps skip the moment and the stage attitudes. With coeff None,
-    gradient is called at every stage attitude, one 3x3 attitude at a time.
+    integrator then never calls gradient, and forms no stage attitude: it
+    takes each stage's moment in closed form from A^T C, once a step. An
+    all-zero coeff is a free body, whose steps skip the moment. With coeff
+    None, gradient is called at every stage attitude, one 3x3 attitude at a
+    time.
     """
 
     value: Callable[[np.ndarray], float]
@@ -223,23 +235,24 @@ def _gradient(gradient, C):
     return G
 
 
-def _gradient_components(gradient, c, axes=None):
+def _gradient_components(gradient, c, columns=None):
     # An undeclared gradient at the attitude with components c, or at each
-    # attitude of a stack, taken one 3x3 attitude at a time. With axes R, c
-    # is C R, in the principal frame: G is taken at C, and given as G R.
-    C = so3._matrix(_times(c, axes, back=True))
+    # attitude of a stack, taken one 3x3 attitude at a time. With an
+    # InertiaSpec's columns of R, c is C R, in the principal frame: G is
+    # taken at C, and given as G R.
+    into, back = columns or (None, None)
+    C = so3._matrix(_times(c, back))
     G = _components(_gradient(gradient, C) if C.ndim == 2 else [_gradient(gradient, m) for m in C])
-    return _times(G, axes)
+    return _times(G, into)
 
 
-def _times(x, R, back=False):
-    # The components of X R, or of X R^T if back, row by row, from X's: 3n
-    # floats, or 3n (B,) arrays. Each entry sums its three products in k = 0,
-    # 1, 2 order, not matmul's, so a stack's lanes equal one body's values.
-    # x itself if R is None.
-    if R is None:
+def _times(x, cols):
+    # The components of X M, row by row, from X's and M's columns cols (an
+    # InertiaSpec's, for M = R or R^T): 3n floats, or 3n (B,) arrays. Each
+    # entry sums its three products in k = 0, 1, 2 order, not matmul's, so a
+    # stack's lanes equal one body's values. x itself if cols is None.
+    if cols is None:
         return x
-    cols = (R if back else R.T).tolist()
     return [a * p + b * q + e * r for a, b, e in zip(x[0::3], x[1::3], x[2::3]) for p, q, r in cols]
 
 
@@ -265,7 +278,25 @@ def propagate(
         return state
 
     C, w = _advance(inertia, potential, state.C, so3._axis(state.Omega), span, cfg.step)
-    return BodyState(t=t_end, C=C, Omega=so3.hat(w))
+    return BodyState(t=t_end, C=C, Omega=so3.hat(_finite_rate(w, span)))
+
+
+def _finite_rate(w, span):
+    # The rate _advance returned, checked before its attitude: a NaN rate
+    # passes the pi/4 guard, and the attitude it leaves fails as a matrix
+    # that is not a rotation, which names neither the rate nor its cause.
+    # Raises on the first trial of a stack whose rate is not finite. One
+    # body's three floats are finite if their sum is, which costs 0.1 us
+    # where numpy's check costs 5 us.
+    if not getattr(w[0], "ndim", 0) and math.isfinite(w[0] + w[1] + w[2]):
+        return w
+    bad = so3._first_failure(np.isfinite(w).all(axis=0), np.transpose(w))
+    if bad is not None:
+        raise PotentialGradientNotSkewCompatible(
+            f"rate {[float(x) for x in bad]} rad/s is not finite after a time span of "
+            f"{span:.6g} s (is the potential's gradient or the inertia out of range?)"
+        )
+    return w
 
 
 def _advance(inertia, potential, C, w, span, h):
@@ -277,27 +308,35 @@ def _advance(inertia, potential, C, w, span, h):
     # Euler's equation takes three products: l_i = j_i u_{i+1} u_{i+2} + m_i
     # / k_i. One body runs _float_steps, B bodies _grouped_steps, each trial
     # with the float operations of its own run. C moves on its components.
+    # The moment m takes one of two forms: a declared gradient g = A R gives
+    # it in closed form from M = g^T C, formed once a step; an undeclared one
+    # (grad) is called at each stage attitude. A free body has neither.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     steps = ((h, n_full), (rem, int(rem > 1e-12 * max(1.0, abs(span)))))
-    A, R = potential.coeff, inertia.axes
+    A, cols = potential.coeff, inertia._columns
+    into, back = cols or (None, None)
     free = A is not None and not any(A.ravel().tolist())  # no moment: g and grad are None
-    g = None if free or A is None else _times(A.ravel().tolist(), R)
-    grad = None if free else lambda x: _gradient_components(potential.gradient, x, R)
+    g = None if free or A is None else _times(A.ravel().tolist(), into)
+    grad = None if A is not None else lambda x: _gradient_components(potential.gradient, x, cols)
     stacked = getattr(w[0], "ndim", 0) or C.ndim > 2
-    c, w = _times(_components(C), R), _times(w if stacked else [*map(float, w)], R)
+    c, w = _times(_components(C), into), _times(w if stacked else [*map(float, w)], into)
     c, w = (_grouped_steps if stacked else _float_steps)(inertia._euler, g, grad, c, w, steps)
-    return so3._matrix(_times(c, R, back=True)), tuple(_times(w, R, back=True))
+    return so3._matrix(_times(c, back)), tuple(_times(w, back))
 
 
 def _float_steps(euler, g, grad, c, w, steps):
     # One body, on floats: at 3-vector sizes a call costs as much as the
-    # arithmetic. A stage has rate u, attitude x = C exp(hat(s)) (formed in a
-    # potential only), a = dexpinv(s, u) and l = vee(Omegadot); q and t sum the
-    # l and the a, weights 1, 2, 2, 1. Stages 2 and 3 (step h/2, weight 2) are
-    # two passes of one loop; stage 4 (h, weight 1) measured faster apart.
+    # arithmetic. A stage has rate u, increment s, a = dexpinv(s, u) and l =
+    # vee(Omegadot); q and t sum the l and the a, weights 1, 2, 2, 1. Stages 2
+    # and 3 (step h/2, weight 2) are two passes of one loop; stage 4 (h,
+    # weight 1) measured faster apart. In a potential, a declared gradient g
+    # gives each stage's moment in closed form, from M = g^T C formed once a
+    # step (_moment_terms, then _stage_moment's float operations written out:
+    # calling it per stage measured to cost about 60 % of what the closed form
+    # saves); an undeclared one is called at each stage attitude C exp(hat(s)).
     j0, j1, j2, r0, r1, r2 = euler.ravel().tolist()
     w0, w1, w2 = w
     for step, count in steps:
@@ -306,16 +345,12 @@ def _float_steps(euler, g, grad, c, w, steps):
             wmag = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
             if wmag * step > MAX_STEP_ROTATION:
                 raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
-            # Stage 1: u = a = w at C itself.
+            # Stage 1: u = a = w at C itself, whose moment is dM = (v0, v1, v2).
             l0, l1, l2 = j0 * (w1 * w2), j1 * (w2 * w0), j2 * (w0 * w1)
-            if grad is not None:
-                # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.
-                x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(c)
-                d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
-                l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
+            if g is not None or grad is not None:
+                (m00, m01, m02, m10, m11, m12, m20, m21, m22), (v0, v1, v2), tr = _moment_terms(
+                    g or grad(c), c)
+                l0, l1, l2 = l0 + r0 * v0, l1 + r1 * v1, l2 + r2 * v2
             q0, q1, q2 = l0, l1, l2
             a0, a1, a2 = t0, t1, t2 = w0, w1, w2
             # Stages 2 and 3: s = h/2 w, then h/2 a. dexpinv(s, u) = u + 1/2 s x u
@@ -330,12 +365,24 @@ def _float_steps(euler, g, grad, c, w, steps):
                 a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
                 t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
                 l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
-                if grad is not None:
-                    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(x)
-                    d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                    d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                    d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+                if g is not None:
+                    th2 = s0 * s0 + s1 * s1 + s2 * s2
+                    th = math.sqrt(th2)
+                    if th < 1e-6:
+                        ra, rb = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
+                    elif th == math.inf:  # math's sin and cos raise here, numpy's give NaN
+                        ra = rb = math.nan
+                    else:
+                        ra, rb = math.sin(th) / th, (1.0 - math.cos(th)) / th2
+                    n0 = m00 * s0 + m10 * s1 + m20 * s2
+                    n1 = m01 * s0 + m11 * s1 + m21 * s2
+                    n2 = m02 * s0 + m12 * s1 + m22 * s2
+                    sv = s0 * v0 + s1 * v1 + s2 * v2
+                    l0 += r0 * (v0 + ra * (tr * s0 - n0) + rb * ((s1 * n2 - s2 * n1) - sv * s0))
+                    l1 += r1 * (v1 + ra * (tr * s1 - n1) + rb * ((s2 * n0 - s0 * n2) - sv * s1))
+                    l2 += r2 * (v2 + ra * (tr * s2 - n2) + rb * ((s0 * n1 - s1 * n0) - sv * s2))
+                elif grad is not None:
+                    d0, d1, d2 = _moment_terms(grad(x := _rotate(c, (s0, s1, s2))), x)[1]
                     l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
                 q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
             # Stage 4: s = h a.
@@ -347,12 +394,24 @@ def _float_steps(euler, g, grad, c, w, steps):
             a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
             t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
             l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
-            if grad is not None:
-                x00, x01, x02, x10, x11, x12, x20, x21, x22 = x = _rotate(c, (s0, s1, s2))
-                g00, g01, g02, g10, g11, g12, g20, g21, g22 = g or grad(x)
-                d0 = (g02 * x01 + g12 * x11 + g22 * x21) - (g01 * x02 + g11 * x12 + g21 * x22)
-                d1 = (g00 * x02 + g10 * x12 + g20 * x22) - (g02 * x00 + g12 * x10 + g22 * x20)
-                d2 = (g01 * x00 + g11 * x10 + g21 * x20) - (g00 * x01 + g10 * x11 + g20 * x21)
+            if g is not None:
+                th2 = s0 * s0 + s1 * s1 + s2 * s2
+                th = math.sqrt(th2)
+                if th < 1e-6:
+                    ra, rb = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
+                elif th == math.inf:
+                    ra = rb = math.nan
+                else:
+                    ra, rb = math.sin(th) / th, (1.0 - math.cos(th)) / th2
+                n0 = m00 * s0 + m10 * s1 + m20 * s2
+                n1 = m01 * s0 + m11 * s1 + m21 * s2
+                n2 = m02 * s0 + m12 * s1 + m22 * s2
+                sv = s0 * v0 + s1 * v1 + s2 * v2
+                l0 += r0 * (v0 + ra * (tr * s0 - n0) + rb * ((s1 * n2 - s2 * n1) - sv * s0))
+                l1 += r1 * (v1 + ra * (tr * s1 - n1) + rb * ((s2 * n0 - s0 * n2) - sv * s1))
+                l2 += r2 * (v2 + ra * (tr * s2 - n2) + rb * ((s0 * n1 - s1 * n0) - sv * s2))
+            elif grad is not None:
+                d0, d1, d2 = _moment_terms(grad(x := _rotate(c, (s0, s1, s2))), x)[1]
                 l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
             q0, q1, q2 = q0 + l0, q1 + l1, q2 + l2
             # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
@@ -361,9 +420,71 @@ def _float_steps(euler, g, grad, c, w, steps):
     return c, (w0, w1, w2)
 
 
-# Rows i+1, i+2, i+2, i+1 (mod 3): taken of two vectors, or of C's and G's
-# columns, their products hold the two halves of a x b and vee(G^T C - C^T G).
+def _moment_terms(g, c):
+    # M = G^T C from the components g of G and c of C, M_ij = g_0i c_0j +
+    # g_1i c_1j + g_2i c_2j; dM = vee(M - M^T), the moment vee(G^T C - C^T G)
+    # at C; and M's trace. For a constant G the moment at any stage attitude
+    # C E is linear in E, through M alone (_stage_moment). Floats for one
+    # body; (3, 3, B), (3, B) and (B,) arrays from a (9, B) c and a (3, 3, 1,
+    # 1) g, or (3, 3, 1, B) for one G per trial, with the same operations.
+    if getattr(c, "ndim", 0):
+        p = g * c.reshape(3, 1, 3, -1)
+        M = p[0] + p[1] + p[2]
+        m = M.reshape(9, -1)
+        return M, m.take(_UP, 0) - m.take(_LO, 0), m[0] + m[4] + m[8]
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = c
+    M = (
+        g00 * x00 + g10 * x10 + g20 * x20, g00 * x01 + g10 * x11 + g20 * x21,
+        g00 * x02 + g10 * x12 + g20 * x22, g01 * x00 + g11 * x10 + g21 * x20,
+        g01 * x01 + g11 * x11 + g21 * x21, g01 * x02 + g11 * x12 + g21 * x22,
+        g02 * x00 + g12 * x10 + g22 * x20, g02 * x01 + g12 * x11 + g22 * x21,
+        g02 * x02 + g12 * x12 + g22 * x22,
+    )
+    return M, (M[7] - M[5], M[2] - M[6], M[3] - M[1]), M[0] + M[4] + M[8]
+
+
+def _stage_moment(terms, s):
+    # The moment at X = C exp(hat(s)) from _moment_terms' (M, dM, tr) of C:
+    # with E = I + a hat(s) + b hat(s)^2 (so3._rotate's a and b) and n = M^T s,
+    # vee(M E - E^T M^T) = dM + a (tr s - n) + b (s x n - (s . dM) s): about
+    # 30 products, where forming X with so3._rotate and then its moment take
+    # about 60. Floats, whose operations _float_steps writes out, or (3, B)
+    # arrays; a non-finite s gives NaN.
+    M, dM, tr = terms
+    s0, s1, s2 = s
+    if getattr(s0, "ndim", 0):
+        p = M * s[:, None]
+        n = p[0] + p[1] + p[2]
+        sq, p = s * s, s * dM
+        a, b = so3._rodrigues(sq[0] + sq[1] + sq[2])
+        return dM + a * (tr * s - n) + b * (_cross(s, n) - (p[0] + p[1] + p[2]) * s)
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = M
+    v0, v1, v2 = dM
+    th2 = s0 * s0 + s1 * s1 + s2 * s2
+    th = math.sqrt(th2)
+    if th < 1e-6:
+        ra, rb = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
+    elif th == math.inf:  # math's sin and cos raise here, numpy's give NaN
+        ra = rb = math.nan
+    else:
+        ra, rb = math.sin(th) / th, (1.0 - math.cos(th)) / th2
+    n0 = m00 * s0 + m10 * s1 + m20 * s2
+    n1 = m01 * s0 + m11 * s1 + m21 * s2
+    n2 = m02 * s0 + m12 * s1 + m22 * s2
+    sv = s0 * v0 + s1 * v1 + s2 * v2
+    return (
+        v0 + ra * (tr * s0 - n0) + rb * ((s1 * n2 - s2 * n1) - sv * s0),
+        v1 + ra * (tr * s1 - n1) + rb * ((s2 * n0 - s0 * n2) - sv * s1),
+        v2 + ra * (tr * s2 - n2) + rb * ((s0 * n1 - s1 * n0) - sv * s2),
+    )
+
+
+# Rows i+1, i+2, i+2, i+1 (mod 3): taken of two vectors, their products hold
+# the two halves of a x b.
 _NP, _PN = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+# Entries 21, 02, 10 and 12, 20, 01 of a 3x3 matrix's components: vee(M - M^T).
+_UP, _LO = np.array([7, 2, 3]), np.array([5, 6, 1])
 
 
 def _cross(a, b):
@@ -374,20 +495,19 @@ def _cross(a, b):
 def _grouped_steps(euler, g, grad, c, w, steps):
     # B bodies, one numpy call per vector operation, as a call costs much the
     # same whatever B is: vectors are (3, B) arrays, shared rates broadcast;
-    # the attitude's components a (9, B) array, or (9, 1) if shared.
+    # the attitude's components a (9, B) array, or (9, 1) if shared. A
+    # moment's terms are those of the float loop, on arrays.
     c = np.reshape(c, (9, -1))
     W = np.broadcast_arrays(np.array(w, dtype=float).reshape(3, -1), c[:3])[0]
     J, k_inv = euler[:3], euler[3:]  # j and 1 / k
-    G = None if g is None else np.reshape(g, (3, 3, 1))
+    G = None if g is None else np.reshape(g, (3, 3, 1, 1))
 
-    def rate(u, x):  # l at rate u and, in a potential, attitude components x
+    def moment(x):  # vee(G^T X - X^T G) at the components x of X, an undeclared G
+        return _moment_terms(np.reshape(grad(x), (3, 3, 1, -1)), x)[1]
+
+    def rate(u, d):  # l at rate u, and moment d in a potential
         l = J * (u.take(_NP[:3], 0) * u.take(_PN[:3], 0))  # j_i u_{i+1} u_{i+2}
-        if grad is None:
-            return l
-        Gx = G if G is not None else np.reshape(grad(x), (3, 3, -1))
-        p = Gx.take(_PN, 1) * x.reshape(3, 3, -1).take(_NP, 1)
-        p = p[0] + p[1] + p[2]
-        return l + k_inv * (p[:3] - p[3:])
+        return l if d is None else l + k_inv * d
 
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
@@ -397,14 +517,20 @@ def _grouped_steps(euler, g, grad, c, w, steps):
             if wmag * step > MAX_STEP_ROTATION:
                 raise StepTooLarge(f"step {step} at rate {wmag:.3f} rad/s exceeds the pi/4 guard")
             # Stage 1 at C itself; then s = h/2 w, h/2 a and h a, as above.
-            q = l = rate(W, c)
+            m = None if G is None else _moment_terms(G, c)
+            d = m[1] if G is not None else None if grad is None else moment(c)
+            q = l = rate(W, d)
             a = t = W
             for f, last in ((hh, False), (hh, False), (dt, True)):
                 s, u = f * a, W + f * l
                 e = _cross(s, u)
                 a = u + 0.5 * e + _cross(s, e) / 12.0
                 t = t + a if last else t + 2.0 * a
-                l = rate(u, None if grad is None else _rotate(c, s))
+                if G is not None:
+                    d = _stage_moment(m, s)
+                elif grad is not None:
+                    d = moment(_rotate(c, s))
+                l = rate(u, d)
                 q = q + l if last else q + 2.0 * l
             c = _rotate(c, sixth * t)
             W = W + sixth * q

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3, wahba
-from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance
+from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance, _finite_rate
 from .errors import InconsistentUpdate, MissingGyro
 
 __all__ = [
@@ -258,7 +258,8 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
         else:
             w, span = so3._axis(est.Omega_plus), batch.t - est.t
             C_minus, w = _advance(inertia, potential, est.C_plus, w, span, cfg.integrator.step)
-            # The checks a propagated body state gets.
+            # The checks a propagated body state gets, the rate's first.
+            w = _finite_rate(w, span)
             C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
             C_plus = update_attitude(C_minus, batch, cfg)
             if mode == "no_gyro":

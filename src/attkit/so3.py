@@ -111,12 +111,7 @@ def _rotate(c, v):
         w = np.array((x, y, z, x, y))  # cyclic: w[1:4] is y, z, x
         sq = w * w
         t2 = sq[0] + sq[1] + sq[2]
-        t = np.sqrt(t2)
-        small = t < 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a, b = np.sin(t) / t, (1.0 - np.cos(t)) / t2
-            if small.any():
-                a, b = np.where(small, 1.0 - t2 / 6.0, a), np.where(small, 0.5 - t2 / 24.0, b)
+        a, b = _rodrigues(t2)
         # Entries 00, 11, 22, then 01, 12, 20, then 10, 21, 02, each a cyclic shift
         # of the first (two sums and products swap operands: exact). p's blocks,
         # C's entries ik times E's kj, sum in k = 0, 1, 2 order to C E.
@@ -150,6 +145,19 @@ def _rotate(c, v):
         x20 * e01 + x21 * e11 + x22 * e21,
         x20 * e02 + x21 * e12 + x22 * e22,
     )
+
+
+def _rodrigues(t2):
+    # The coefficients a = sin(t)/t and b = (1 - cos(t))/t^2 of _rotate's
+    # exponential at each entry of the (B,) array t2 = t^2, with the series
+    # below t = 1e-6. Float callers write the same operations out.
+    t = np.sqrt(t2)
+    small = t < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = np.sin(t) / t, (1.0 - np.cos(t)) / t2
+        if small.any():
+            a, b = np.where(small, 1.0 - t2 / 6.0, a), np.where(small, 0.5 - t2 / 24.0, b)
+    return a, b
 
 
 # Block k, row ij of _rotate's product: C's entry ik and E's kj (row _ROW_MAJOR[3k + j]).

@@ -267,6 +267,21 @@ def test_montecarlo_single_trial_fails_like_filter(tmp_path, capsys, mode):
     assert results[0][0] == EXIT_CONFIG and results[0][1].startswith("error: ")
 
 
+def test_overflowing_linear_potential_names_the_rate(tmp_path, capsys):
+    # Every coeff entry 1e308 is finite, so the run file is read, but the
+    # moment overflows and the rate turns NaN. Each command exits 2 with the
+    # error of the first propagation, which names the rate and its span, not
+    # the attitude.
+    scenario = _scenario_dict(sigma_vec=0.002, sigma_gyro=0.005, count=4)
+    scenario["potential"] = {"type": "linear", "coeff": [1e308] * 9}
+    path = _write(tmp_path, "big.json", {"schema": 1, "scenario": scenario})
+    for argv in (["propagate"], ["filter"], ["montecarlo", "--trials", "3"]):
+        assert cli.main([*argv, "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: rate [nan, nan, nan] rad/s is not finite after a time span of 0.05 s"
+            " (is the potential's gradient or the inertia out of range?)\n")
+
+
 def test_montecarlo_deterministic(tmp_path, capsys):
     cfg = {
         "schema": 1,

@@ -4,8 +4,21 @@ import numpy as np
 import pytest
 
 from attkit import filters, so3, wahba
-from attkit.dynamics import BodyState, InertiaSpec, IntegratorConfig, propagate, zero_potential
-from attkit.errors import InconsistentUpdate, MissingGyro, NotRotation, NotSkew
+from attkit.dynamics import (
+    BodyState,
+    InertiaSpec,
+    IntegratorConfig,
+    linear_potential,
+    propagate,
+    zero_potential,
+)
+from attkit.errors import (
+    InconsistentUpdate,
+    MissingGyro,
+    NotRotation,
+    NotSkew,
+    PotentialGradientNotSkewCompatible,
+)
 from attkit.filters import (
     FilterConfig,
     FilterEstimate,
@@ -450,6 +463,20 @@ def test_run_filter_rejects_a_non_rotation_initial_attitude_before_propagating(
     monkeypatch.setattr(filters, "_advance", lambda *a: pytest.fail("propagated"))
     with pytest.raises(NotRotation):
         run_filter(bad, batches, scn.inertia, scn.potential, FilterConfig())
+
+
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+def test_run_filter_names_a_propagated_rate_that_is_not_finite(mode):
+    # The filter's own potential, every coeff entry 1e308, overflows the
+    # moment of the first propagation, and the rate turns NaN. The epoch
+    # loop checks the rate before the attitude, so the error names the rate
+    # and the span, not the attitude's orthogonality residual.
+    scn = _scenario(sigma_vec=1e-3, sigma_gyro=1e-3, count=3)
+    _, batches = simulate_scenario(scn)
+    pot = linear_potential(np.full((3, 3), 1e308))
+    message = r"^rate \[nan, nan, nan\] rad/s is not finite after a time span of 0\.05 s "
+    with pytest.raises(PotentialGradientNotSkewCompatible, match=message):
+        run_filter(None, batches, scn.inertia, pot, FilterConfig(), mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])

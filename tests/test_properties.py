@@ -157,8 +157,11 @@ def _oracle_step(inertia, potential, classical=False):
     # increment th of C exp(hat(th)) and the new rate; the step loop in
     # dynamics._advance writes the same float operations out in one loop.
     # f is Euler's equation in principal axes, l_i = j_i w_{i+1} w_{i+2} +
-    # m_i / k_i, as _advance evaluates it for a diagonal K. With classical,
-    # it is K l = K w x w + m in any frame, K w and K^-1 (K w x w + m) with
+    # m_i / k_i, as _advance evaluates it for a diagonal K. A declared
+    # gradient's moment takes the loop's closed form, from M = G^T C at the
+    # step's start c and the stage's increment s; an undeclared one, and the
+    # classical reference's, is taken at C exp(hat(s)). With classical, f
+    # is K l = K w x w + m in any frame, K w and K^-1 (K w x w + m) with
     # nine products each: the reference of the long-horizon drift test.
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = inertia.classical.tolist()
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia.classical_inv.tolist()
@@ -169,7 +172,15 @@ def _oracle_step(inertia, potential, classical=False):
 
     def f(w0, w1, w2, c, s=None):
         c0 = c1 = c2 = 0.0
-        if not free:
+        if g is not None and not free and not classical:
+            # The loop's closed form: the moment at C exp(hat(s)) from M = G^T C,
+            # on a stack with the grouped step's array shapes.
+            stack = getattr(w0, "ndim", 0)
+            G, x = (np.reshape(g, (3, 3, 1, 1)), np.reshape(c, (9, -1))) if stack else (g, c)
+            terms = dynamics._moment_terms(G, x)
+            c0, c1, c2 = terms[1] if s is None else dynamics._stage_moment(
+                terms, np.array(s) if stack else s)
+        elif not free:
             if s is not None:
                 c = dynamics._rotate(c, s)
             # vee(G^T C - C^T G) from the off-diagonal entries of G^T C.

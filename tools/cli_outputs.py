@@ -1,7 +1,7 @@
-"""Write the outputs of a fixed set of 338 attkit CLI commands.
+"""Write the outputs of a fixed set of 343 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
-    python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B
+    python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B [--units N] [--abs X]
 
 SRC is the ``src/`` directory of an attkit checkout; ``attkit.cli.main``
 is imported from there and every command runs in-process. The run files
@@ -69,12 +69,18 @@ The commands:
 * axisymmetric bodies in a rotated frame (see ``_axisymmetric``): two
   equal second moments, a degenerate eigenspace, free and in a linear
   potential. On each: ``filter`` in both modes, and ``montecarlo`` in both
-  modes with ``--trials`` 3 and 7. They come last, for the same reason.
+  modes with ``--trials`` 3 and 7. They come after the principal axes, for
+  the same reason;
+* a linear potential whose coeff entries are all 1e308 (see
+  ``_overflowing_moment``): ``propagate``, and ``filter`` and ``montecarlo
+  --trials 3`` in both modes. They come last, for the same reason.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -317,6 +323,15 @@ def _axisymmetric(rng):
     return files
 
 
+def _overflowing_moment(rng):
+    """A run file in a linear potential whose coeff entries are all 1e308:
+    finite, so it is read, but its moment overflows and the rate turns NaN,
+    which the first propagation reports."""
+    run = _run_file(rng, potential=True, noise=NOISES["both"], schedule="regular")
+    run["scenario"]["potential"]["coeff"] = [1e308] * 9
+    return {"overflow_moment": run}
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -366,6 +381,7 @@ def commands(inputs):
     files.update(principal)
     axisymmetric = _axisymmetric(np.random.default_rng(20261029))
     files.update(axisymmetric)
+    files.update(_overflowing_moment(np.random.default_rng(20261030)))
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -437,6 +453,12 @@ def commands(inputs):
             for trials in (3, 7):
                 out.append((f"montecarlo_{name}_{mode}_{trials}",
                             ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
+    # After the axisymmetric bodies, for the same reason
+    out.append(("propagate_overflow_moment", ["propagate", *cfg("overflow_moment")]))
+    for mode in MODES:
+        out.append((f"filter_overflow_moment_{mode}", ["filter", *cfg("overflow_moment"), "--mode", mode]))
+        out.append((f"montecarlo_overflow_moment_{mode}_3",
+                    ["montecarlo", *cfg("overflow_moment"), "--mode", mode, "--trials", "3"]))
     return out
 
 
@@ -444,6 +466,9 @@ def commands(inputs):
 # exit-code line of a .stdout file.
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 EXIT = re.compile(r"exit -?\d+\n")
+# Numbers under this magnitude on both sides are rounding errors of noise-free
+# runs, which move by their own size: their last-digit units are not counted.
+FLOOR = 1e-12
 
 
 def _files(root):
@@ -455,32 +480,44 @@ def _files(root):
 
 def _changes(a, b):
     """(exit line equal, text outside the numbers equal, and the largest
-    absolute and relative change among the numbers) of two output texts."""
+    absolute change, relative change and change in units of the last
+    printed digit among the numbers) of two output texts. Units count only
+    numbers of magnitude FLOOR or more on either side: the finer of the two
+    last digits, exactly, so 9.999999999e-06 to 1.000000000e-05 is 1."""
     exit_a, exit_b = EXIT.match(a), EXIT.match(b)
     same_exit = (exit_a and exit_a.group()) == (exit_b and exit_b.group())
     if NUMBER.split(a) != NUMBER.split(b):
-        return same_exit, False, (math.nan, math.nan)
-    most_abs = most_rel = 0.0
-    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        return same_exit, False, (math.nan, math.nan, math.nan)
+    most_abs = most_rel = most_units = 0.0
+    for p, q in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        x, y = float(p), float(q)
         d = abs(x - y)
         if d:
             most_abs = max(most_abs, d)
             most_rel = max(most_rel, d / max(abs(x), abs(y)))
-    return same_exit, True, (most_abs, most_rel)
+            if max(abs(x), abs(y)) >= FLOOR:
+                dp, dq = decimal.Decimal(p), decimal.Decimal(q)
+                unit = min(dp.as_tuple().exponent, dq.as_tuple().exponent)
+                most_units = max(most_units, float(abs(dp - dq).scaleb(-unit)))
+    return same_exit, True, (most_abs, most_rel, most_units)
 
 
-def compare(dir_a, dir_b):
+def compare(dir_a, dir_b, units=math.inf, abs_bound=math.inf):
     """Print, for each file that differs between two OUTDIRs, whether its
     exit-code line and its text outside the numbers are equal and the
-    largest absolute and relative change among its numbers; then the
-    largest of each by file type.
+    largest absolute and relative change among its numbers; for a CSV or
+    .stdout file, also the largest change in units of the last printed digit
+    among its numbers of magnitude FLOOR or more (a number under FLOOR on
+    both sides moves by less than 2 FLOOR). Then the largest of each by
+    file type. A JSON file over abs_bound, or another file over units, is
+    marked OVER BOUND.
     Returns 1 if a file is on one side only, or an exit-code line or the
-    text outside the numbers differs, else 0."""
+    text outside the numbers differs, or a file is over its bound, else 0."""
     files_a, files_b = _files(dir_a), _files(dir_b)
     broken = sorted(files_a ^ files_b)
     for name in broken:
         print(f"{name}: only in {dir_a if name in files_a else dir_b}")
-    changed, most = 0, {}
+    changed, over, most = 0, 0, {}
     for name in sorted(files_a & files_b):
         with open(os.path.join(dir_a, name)) as fa, open(os.path.join(dir_b, name)) as fb:
             a, b = fa.read(), fb.read()
@@ -488,24 +525,40 @@ def compare(dir_a, dir_b):
             continue
         changed += 1
         same_exit, same_text, change = _changes(a, b)
-        exit_state = "-" if not name.endswith(".stdout") else "same" if same_exit else "DIFFERS"
-        print(f"{name}: exit {exit_state}, structure {'same' if same_text else 'DIFFERS'}, "
-              "max change abs {:.2e}, rel {:.2e}".format(*change))
+        kind = os.path.splitext(name)[1]
+        exit_state = "-" if kind != ".stdout" else "same" if same_exit else "DIFFERS"
+        line = (f"{name}: exit {exit_state}, structure {'same' if same_text else 'DIFFERS'}, "
+                "max change abs {:.2e}, rel {:.2e}".format(*change))
+        if kind == ".json":
+            change, beyond = change[:2], change[0] > abs_bound
+        else:
+            line += f", units {change[2]:.0f}"
+            beyond = change[2] > units
+        print(line + (" OVER BOUND" if beyond else ""))
         if not (same_exit and same_text):
             broken.append(name)
             continue
-        kind = os.path.splitext(name)[1]
-        most[kind] = [max(m, (c, name)) for m, c in zip(most.get(kind, [(0.0, "")] * 2), change)]
+        over += beyond
+        most[kind] = [max(m, (c, name)) for m, c in zip(most.get(kind, [(0.0, "")] * 3), change)]
     print(f"{changed} of {len(files_a | files_b)} files differ, "
-          f"{len(broken)} in exit code, structure or presence")
-    for kind, ((d_abs, at_abs), (d_rel, at_rel)) in sorted(most.items()):
-        print(f"{kind}: max change abs {d_abs:.2e} ({at_abs}), rel {d_rel:.2e} ({at_rel})")
-    return int(bool(broken))
+          f"{len(broken)} in exit code, structure or presence, {over} over their bound")
+    for kind, ((d_abs, at_abs), (d_rel, at_rel), *rest) in sorted(most.items()):
+        text = "".join(f", units {u:.0f} ({at_u})" for u, at_u in rest)
+        print(f"{kind}: max change abs {d_abs:.2e} ({at_abs}), rel {d_rel:.2e} ({at_rel}){text}")
+    return int(bool(broken) or over > 0)
 
 
 def main(argv):
-    if len(argv) == 3 and argv[0] == "--compare":
-        return compare(*argv[1:])
+    if argv[:1] == ["--compare"]:
+        parser = argparse.ArgumentParser(prog="cli_outputs.py --compare")
+        parser.add_argument("dir_a")
+        parser.add_argument("dir_b")
+        parser.add_argument("--units", type=float, default=math.inf,
+                            help="bound on a CSV or .stdout number's change, in units of its "
+                                 "last printed digit")
+        parser.add_argument("--abs", type=float, default=math.inf, dest="abs_bound",
+                            help="bound on a JSON number's absolute change")
+        return compare(**vars(parser.parse_args(argv[1:])))
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2
