@@ -10,9 +10,10 @@ G = dV/dC is G^T C - C^T G.
 Propagation preserves SO(3) by construction: attitude updates are right
 multiplications by exponentials of so(3) increments computed with a
 4th-order Munthe-Kaas Runge-Kutta scheme, in the principal frame of the
-inertia, where Euler's equation takes three products. One body is stepped
-on floats, in a loop written out with no call per stage; B bodies in a loop
-of one numpy call per (3, B) or (9, B) vector operation, with the same float
+inertia, where Euler's equation takes three products (_rate, which
+euler_rhs evaluates too). One body is stepped on floats, stages 2 to 4 in
+one loop written out with no call per stage; B bodies in the same loop of
+one numpy call per (3, B) or (9, B) vector operation, with the same float
 operations. Both form C exp(hat(th)) with so3._rotate, the one Rodrigues formula.
 
 A stage's moment, at X = C exp(hat(s)), takes one of two forms. An
@@ -32,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from . import so3
-from .errors import NotRotation, PotentialGradientNotSkewCompatible, ShapeMismatch, StepTooLarge
+from .errors import (NotRotation, NotSymmetricPD, PotentialGradientNotSkewCompatible,
+                     ShapeMismatch, StepTooLarge)
 from .so3 import _components, _rotate
 
 __all__ = [
@@ -54,6 +56,11 @@ __all__ = [
 
 # Guard: no single integrator step may rotate the body by more than this.
 MAX_STEP_ROTATION = math.pi / 4
+# Cap on span / h in one _advance call, checked before the first step, so that
+# a tiny step fails at once instead of running for ages. The largest span / h
+# measured: 20,000 in the tests, 2,200 in tools/cli_outputs.py, 50 in the
+# benchmark's filter_free and filter_potential, 10 in montecarlo.
+MAX_STEPS = 10_000_000
 # A declared gradient is checked at the identity and at this rotation.
 _PROBE = so3._exp_vec((0.6, -0.8, 1.1))
 
@@ -65,16 +72,16 @@ class InertiaSpec:
     second_moment is the symmetric positive definite matrix S entering the
     momentum operator J(X) = S X + X S (the second moment of the mass
     distribution, in kg m^2). The classical inertia matrix acting on
-    axis-angle coordinates, trace(S) I - S, is cached together with its
-    inverse; it is automatically positive definite because each of its
-    eigenvalues is a sum of two eigenvalues of S. Its principal frame, where
-    the integrator steps, is cached too: axes is a proper rotation R with
-    R^T K R = diag(moments), or None when K is diagonal (moments: its diagonal).
+    axis-angle coordinates, trace(S) I - S, is cached; it is automatically
+    positive definite because each of its eigenvalues is a sum of two
+    eigenvalues of S. Its principal frame, where the integrator steps, is
+    cached too: axes is a proper rotation R with R^T K R = diag(moments), or
+    None when K is diagonal (moments: its diagonal). Moments so small that
+    1/k overflows raise NotSymmetricPD.
     """
 
     second_moment: np.ndarray
     classical: np.ndarray = field(init=False)
-    classical_inv: np.ndarray = field(init=False)
     axes: np.ndarray | None = field(init=False)
     moments: np.ndarray = field(init=False)
     # The (6, 1) column of j_i = (k_{i+1} - k_{i+2}) / k_i, then 1 / k_i (see _advance)
@@ -89,9 +96,12 @@ class InertiaSpec:
         k, R = (K.diagonal().copy(), None) if np.count_nonzero(K) == 3 else np.linalg.eigh(K)
         if R is not None and np.linalg.det(R) < 0.0:  # the cross products need det R = +1
             R[:, 0] = -R[:, 0]
-        euler = np.concatenate(((np.roll(k, -1) - np.roll(k, -2)) / k, 1.0 / k))[:, None]
-        cached = {"second_moment": S, "classical": K, "classical_inv": np.linalg.inv(K),
-                  "axes": R, "moments": k, "_euler": euler,
+        with np.errstate(over="ignore", divide="ignore"):  # checked on the next line
+            euler = np.concatenate(((np.roll(k, -1) - np.roll(k, -2)) / k, 1.0 / k))[:, None]
+        if not np.isfinite(euler).all():
+            raise NotSymmetricPD(f"principal moments {k.tolist()} of the classical inertia "
+                                 f"are out of range: 1/k is not finite")
+        cached = {"second_moment": S, "classical": K, "axes": R, "moments": k, "_euler": euler,
                   "_columns": None if R is None else (R.T.tolist(), R.tolist())}
         for name, value in cached.items():
             object.__setattr__(self, name, value)
@@ -213,14 +223,15 @@ def euler_rhs(
     with moment = G^T C - C^T G for the potential gradient G at C. In axis
     coordinates J(X) = hat(K vee(X)) for the classical inertia K, and the
     commutator is a cross product: K vee(Omegadot) = K w x w + vee(moment)
-    at w = vee(Omega). (The integrator evaluates it in K's principal frame.)
+    at w = vee(Omega). It is evaluated as the integrator steps it: by _rate, in
+    K's principal frame R, at R^T w and R^T vee(moment), then turned back by R.
     A non-finite result can only come from a malformed gradient (NaN or inf).
     """
     C, Omega = state.C, state.Omega
     P = _gradient(potential.gradient, C).T @ C
-    m = so3._axis(P - P.T)
-    w = so3.vee(Omega)
-    w_dot = inertia.classical_inv @ (np.cross(inertia.classical @ w, w) + m)
+    into, back = inertia._columns or (None, None)
+    u, d = (np.array(_times(x[:, None], into)) for x in (so3.vee(Omega), so3._axis(P - P.T)))
+    w_dot = np.array(_times(_rate(inertia._euler[:3], inertia._euler[3:], u, d), back)).ravel()
     if not np.isfinite(w_dot).all():
         raise PotentialGradientNotSkewCompatible(
             f"non-finite angular acceleration {w_dot!r} in the dynamics right-hand side"
@@ -305,14 +316,17 @@ def _advance(inertia, potential, C, w, span, h):
     # arrays for B bodies, whose fastest one the pi/4 guard checks. The steps
     # run in the inertia's principal frame R, entered with C R, R^T w and a
     # declared gradient's A R, and left with C R^T and R w, by _times. There
-    # Euler's equation takes three products: l_i = j_i u_{i+1} u_{i+2} + m_i
-    # / k_i. One body runs _float_steps, B bodies _grouped_steps, each trial
+    # Euler's equation takes three products (_rate): l_i = j_i u_{i+1} u_{i+2}
+    # + m_i / k_i. One body runs _float_steps, B bodies _grouped_steps, each trial
     # with the float operations of its own run. C moves on its components.
     # The moment m takes one of two forms: a declared gradient g = A R gives
     # it in closed form from M = g^T C, formed once a step; an undeclared one
     # (grad) is called at each stage attitude. A free body has neither.
     if not math.isfinite(span):
         raise ValueError(f"non-finite time span {span!r}")
+    if span / h > MAX_STEPS:
+        raise ValueError(f"integrator step {h!r} s over a time span of {span:.6g} s takes "
+                         f"{span / h:.3g} steps, more than the {MAX_STEPS:,} one call may take")
     n_full = int(math.floor(span / h + 1e-12))
     rem = span - n_full * h
     steps = ((h, n_full), (rem, int(rem > 1e-12 * max(1.0, abs(span)))))
@@ -330,17 +344,17 @@ def _advance(inertia, potential, C, w, span, h):
 def _float_steps(euler, g, grad, c, w, steps):
     # One body, on floats: at 3-vector sizes a call costs as much as the
     # arithmetic. A stage has rate u, increment s, a = dexpinv(s, u) and l =
-    # vee(Omegadot); q and t sum the l and the a, weights 1, 2, 2, 1. Stages 2
-    # and 3 (step h/2, weight 2) are two passes of one loop; stage 4 (h,
-    # weight 1) measured faster apart. In a potential, a declared gradient g
+    # vee(Omegadot); q and t sum the l and the a, weights 1, 2, 2, 1: stages
+    # 2 to 4 are passes of one loop. In a potential, a declared gradient g
     # gives each stage's moment in closed form, from M = g^T C formed once a
-    # step (_moment_terms, then _stage_moment's float operations written out:
-    # calling it per stage measured to cost about 60 % of what the closed form
-    # saves); an undeclared one is called at each stage attitude C exp(hat(s)).
+    # step (_moment_terms, then _stage_moment's operations written out on
+    # floats: a call per stage measured to cost about 60 % of what the closed
+    # form saves); an undeclared one is called at each stage attitude.
     j0, j1, j2, r0, r1, r2 = euler.ravel().tolist()
     w0, w1, w2 = w
     for step, count in steps:
-        dt, hh, sixth = step, 0.5 * step, step / 6.0
+        hh, sixth = 0.5 * step, step / 6.0
+        stages = ((hh, 2.0), (hh, 2.0), (step, 1.0))
         for _ in range(count):
             wmag = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
             if wmag * step > MAX_STEP_ROTATION:
@@ -353,17 +367,17 @@ def _float_steps(euler, g, grad, c, w, steps):
                 l0, l1, l2 = l0 + r0 * v0, l1 + r1 * v1, l2 + r2 * v2
             q0, q1, q2 = l0, l1, l2
             a0, a1, a2 = t0, t1, t2 = w0, w1, w2
-            # Stages 2 and 3: s = h/2 w, then h/2 a. dexpinv(s, u) = u + 1/2 s x u
-            # + 1/12 s x (s x u), truncated at the order RK4 needs. The plus sign on
-            # the first commutator matters: the minus one drops the scheme to order 2.
-            for _ in (2, 3):
-                s0, s1, s2 = hh * a0, hh * a1, hh * a2
-                u0, u1, u2 = w0 + hh * l0, w1 + hh * l1, w2 + hh * l2
+            # Stages 2 to 4: s = f a, at f = h/2, h/2, h. dexpinv(s, u) = u + 1/2
+            # s x u + 1/12 s x (s x u), truncated at the order RK4 needs. The plus
+            # sign on the first commutator matters: the minus one drops the scheme
+            # to order 2. The weight k, 2.0 or 1.0, multiplies exactly.
+            for f, k in stages:
+                s0, s1, s2 = f * a0, f * a1, f * a2
+                u0, u1, u2 = w0 + f * l0, w1 + f * l1, w2 + f * l2
                 e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
                 a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
                 a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
                 a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-                t0, t1, t2 = t0 + 2.0 * a0, t1 + 2.0 * a1, t2 + 2.0 * a2
                 l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
                 if g is not None:
                     th2 = s0 * s0 + s1 * s1 + s2 * s2
@@ -384,36 +398,8 @@ def _float_steps(euler, g, grad, c, w, steps):
                 elif grad is not None:
                     d0, d1, d2 = _moment_terms(grad(x := _rotate(c, (s0, s1, s2))), x)[1]
                     l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
-                q0, q1, q2 = q0 + 2.0 * l0, q1 + 2.0 * l1, q2 + 2.0 * l2
-            # Stage 4: s = h a.
-            s0, s1, s2 = dt * a0, dt * a1, dt * a2
-            u0, u1, u2 = w0 + dt * l0, w1 + dt * l1, w2 + dt * l2
-            e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
-            a0 = u0 + 0.5 * e0 + (s1 * e2 - s2 * e1) / 12.0
-            a1 = u1 + 0.5 * e1 + (s2 * e0 - s0 * e2) / 12.0
-            a2 = u2 + 0.5 * e2 + (s0 * e1 - s1 * e0) / 12.0
-            t0, t1, t2 = t0 + a0, t1 + a1, t2 + a2
-            l0, l1, l2 = j0 * (u1 * u2), j1 * (u2 * u0), j2 * (u0 * u1)
-            if g is not None:
-                th2 = s0 * s0 + s1 * s1 + s2 * s2
-                th = math.sqrt(th2)
-                if th < 1e-6:
-                    ra, rb = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
-                elif th == math.inf:
-                    ra = rb = math.nan
-                else:
-                    ra, rb = math.sin(th) / th, (1.0 - math.cos(th)) / th2
-                n0 = m00 * s0 + m10 * s1 + m20 * s2
-                n1 = m01 * s0 + m11 * s1 + m21 * s2
-                n2 = m02 * s0 + m12 * s1 + m22 * s2
-                sv = s0 * v0 + s1 * v1 + s2 * v2
-                l0 += r0 * (v0 + ra * (tr * s0 - n0) + rb * ((s1 * n2 - s2 * n1) - sv * s0))
-                l1 += r1 * (v1 + ra * (tr * s1 - n1) + rb * ((s2 * n0 - s0 * n2) - sv * s1))
-                l2 += r2 * (v2 + ra * (tr * s2 - n2) + rb * ((s0 * n1 - s1 * n0) - sv * s2))
-            elif grad is not None:
-                d0, d1, d2 = _moment_terms(grad(x := _rotate(c, (s0, s1, s2))), x)[1]
-                l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
-            q0, q1, q2 = q0 + l0, q1 + l1, q2 + l2
+                t0, t1, t2 = t0 + k * a0, t1 + k * a1, t2 + k * a2
+                q0, q1, q2 = q0 + k * l0, q1 + k * l1, q2 + k * l2
             # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
             c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
             w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
@@ -445,39 +431,18 @@ def _moment_terms(g, c):
 
 
 def _stage_moment(terms, s):
-    # The moment at X = C exp(hat(s)) from _moment_terms' (M, dM, tr) of C:
-    # with E = I + a hat(s) + b hat(s)^2 (so3._rotate's a and b) and n = M^T s,
-    # vee(M E - E^T M^T) = dM + a (tr s - n) + b (s x n - (s . dM) s): about
-    # 30 products, where forming X with so3._rotate and then its moment take
-    # about 60. Floats, whose operations _float_steps writes out, or (3, B)
-    # arrays; a non-finite s gives NaN.
+    # The moment at X = C exp(hat(s)) from _moment_terms' (M, dM, tr) of C, at
+    # the (3, B) increments s: with E = I + a hat(s) + b hat(s)^2 (so3._rotate's
+    # a and b) and n = M^T s, vee(M E - E^T M^T) = dM + a (tr s - n) + b (s x n
+    # - (s . dM) s): about 30 products, where forming X with so3._rotate and
+    # then its moment take about 60. _float_steps writes the same operations
+    # out on floats. A non-finite s gives NaN.
     M, dM, tr = terms
-    s0, s1, s2 = s
-    if getattr(s0, "ndim", 0):
-        p = M * s[:, None]
-        n = p[0] + p[1] + p[2]
-        sq, p = s * s, s * dM
-        a, b = so3._rodrigues(sq[0] + sq[1] + sq[2])
-        return dM + a * (tr * s - n) + b * (_cross(s, n) - (p[0] + p[1] + p[2]) * s)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = M
-    v0, v1, v2 = dM
-    th2 = s0 * s0 + s1 * s1 + s2 * s2
-    th = math.sqrt(th2)
-    if th < 1e-6:
-        ra, rb = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
-    elif th == math.inf:  # math's sin and cos raise here, numpy's give NaN
-        ra = rb = math.nan
-    else:
-        ra, rb = math.sin(th) / th, (1.0 - math.cos(th)) / th2
-    n0 = m00 * s0 + m10 * s1 + m20 * s2
-    n1 = m01 * s0 + m11 * s1 + m21 * s2
-    n2 = m02 * s0 + m12 * s1 + m22 * s2
-    sv = s0 * v0 + s1 * v1 + s2 * v2
-    return (
-        v0 + ra * (tr * s0 - n0) + rb * ((s1 * n2 - s2 * n1) - sv * s0),
-        v1 + ra * (tr * s1 - n1) + rb * ((s2 * n0 - s0 * n2) - sv * s1),
-        v2 + ra * (tr * s2 - n2) + rb * ((s0 * n1 - s1 * n0) - sv * s2),
-    )
+    p = M * s[:, None]
+    n = p[0] + p[1] + p[2]
+    sq, p = s * s, s * dM
+    a, b = so3._rodrigues(sq[0] + sq[1] + sq[2])
+    return dM + a * (tr * s - n) + b * (_cross(s, n) - (p[0] + p[1] + p[2]) * s)
 
 
 # Rows i+1, i+2, i+2, i+1 (mod 3): taken of two vectors, their products hold
@@ -492,11 +457,19 @@ def _cross(a, b):
     return p[:3] - p[3:]
 
 
+def _rate(j, k_inv, u, d):
+    # Euler's equation in principal axes, l_i = j_i u_{i+1} u_{i+2} + d_i / k_i,
+    # at (3, B) rates u and moments d (None: a free body), with j and 1 / k the
+    # (3, 1) halves of InertiaSpec._euler. _float_steps writes it out on floats.
+    l = j * (u.take(_NP[:3], 0) * u.take(_PN[:3], 0))
+    return l if d is None else l + k_inv * d
+
+
 def _grouped_steps(euler, g, grad, c, w, steps):
     # B bodies, one numpy call per vector operation, as a call costs much the
     # same whatever B is: vectors are (3, B) arrays, shared rates broadcast;
-    # the attitude's components a (9, B) array, or (9, 1) if shared. A
-    # moment's terms are those of the float loop, on arrays.
+    # the attitude's components a (9, B) array, or (9, 1) if shared. Stages,
+    # rate (_rate) and moments take the float loop's operations, on arrays.
     c = np.reshape(c, (9, -1))
     W = np.broadcast_arrays(np.array(w, dtype=float).reshape(3, -1), c[:3])[0]
     J, k_inv = euler[:3], euler[3:]  # j and 1 / k
@@ -504,10 +477,6 @@ def _grouped_steps(euler, g, grad, c, w, steps):
 
     def moment(x):  # vee(G^T X - X^T G) at the components x of X, an undeclared G
         return _moment_terms(np.reshape(grad(x), (3, 3, 1, -1)), x)[1]
-
-    def rate(u, d):  # l at rate u, and moment d in a potential
-        l = J * (u.take(_NP[:3], 0) * u.take(_PN[:3], 0))  # j_i u_{i+1} u_{i+2}
-        return l if d is None else l + k_inv * d
 
     for step, count in steps:
         dt, hh, sixth = step, 0.5 * step, step / 6.0
@@ -519,7 +488,7 @@ def _grouped_steps(euler, g, grad, c, w, steps):
             # Stage 1 at C itself; then s = h/2 w, h/2 a and h a, as above.
             m = None if G is None else _moment_terms(G, c)
             d = m[1] if G is not None else None if grad is None else moment(c)
-            q = l = rate(W, d)
+            q = l = _rate(J, k_inv, W, d)
             a = t = W
             for f, last in ((hh, False), (hh, False), (dt, True)):
                 s, u = f * a, W + f * l
@@ -530,7 +499,7 @@ def _grouped_steps(euler, g, grad, c, w, steps):
                     d = _stage_moment(m, s)
                 elif grad is not None:
                     d = moment(_rotate(c, s))
-                l = rate(u, d)
+                l = _rate(J, k_inv, u, d)
                 q = q + l if last else q + 2.0 * l
             c = _rotate(c, sixth * t)
             W = W + sixth * q

@@ -31,7 +31,6 @@ __all__ = [
     "hat",
     "principal_angle",
     "random_rotation",
-    "trace_inner",
     "vee",
 ]
 
@@ -197,15 +196,6 @@ def solve_skew_sylvester(K, m) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"skew Sylvester solve: non-finite solution at weight trace {K.trace()}")
     return hat(x)
-
-
-def trace_inner(A, B) -> float:
-    """Trace inner product trace(A^T B) of two equally shaped matrices."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ShapeMismatch(f"shapes {A.shape} and {B.shape} differ")
-    return float(np.sum(A * B))
 
 
 def principal_angle(C1, C2) -> float:

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 
 import numpy as np
@@ -449,6 +450,20 @@ def test_integrator_scheme_other_than_rkmk4_exits_2(tmp_path, capsys, command):
     assert "unknown integrator scheme 'euler'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+def test_tiny_integrator_step_exits_2_at_once(tmp_path, capsys, command):
+    # 1e-300 over the first 0.05 s interval asks for 5e298 steps, which would
+    # never end: the first propagation fails before its first step.
+    cfg = _run_file()
+    cfg["integrator"]["step"] = 1e-300
+    start = time.perf_counter()
+    assert cli.main(_argv(command, _write(tmp_path, "tiny.json", cfg))) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: integrator step 1e-300 s over a time span of 0.05 s takes 5e+298 steps, "
+        "more than the 10,000,000 one call may take\n")
+
+
 @pytest.mark.parametrize("command", ["filter", "montecarlo"])
 def test_negative_seed_in_the_file_exits_2_naming_it(tmp_path, capsys, command):
     cfg = _run_file()
@@ -705,7 +720,10 @@ def test_malformed_initial_rate_exits_2(tmp_path, capsys, command, omega, messag
 @pytest.mark.parametrize("inertia, message", [
     ([2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -0.5], "smallest eigenvalue -0.5 is not positive"),
     ([1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "symmetry residual 5.000e-01 exceeds 1.0e-12"),
-], ids=["negative", "not-symmetric"])
+    ([1e-310, 0.0, 0.0, 0.0, 2e-310, 0.0, 0.0, 0.0, 3e-310],
+     "principal moments [5e-310, 4e-310, 3e-310] of the classical inertia are out of range: "
+     "1/k is not finite"),
+], ids=["negative", "not-symmetric", "subnormal"])
 def test_inertia_not_spd_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, inertia,
                                            message):
     cfg = _run_file(inertia=inertia)

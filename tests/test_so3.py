@@ -95,33 +95,6 @@ def test_exp_small_angle_branch():
         so3.check_rotation(so3.exp_so3(X), tol=1e-14)
 
 
-def test_trace_inner_identity_and_zero():
-    assert so3.trace_inner(np.eye(3), np.eye(3)) == 3.0
-    assert so3.trace_inner(np.zeros((3, 5)), np.zeros((3, 5))) == 0.0
-
-
-def test_trace_inner_elementwise_oracle():
-    rng = np.random.default_rng(6)
-    A = rng.normal(size=(3, 4))
-    B = rng.normal(size=(3, 4))
-    manual = sum(A[i, j] * B[i, j] for i in range(3) for j in range(4))
-    assert abs(so3.trace_inner(A, B) - manual) <= 1e-13
-
-
-def test_trace_inner_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        so3.trace_inner(np.eye(3), np.zeros((3, 4)))
-
-
-def test_trace_inner_of_skews_is_twice_vee_dot():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        x = rng.normal(size=3)
-        y = rng.normal(size=3)
-        val = so3.trace_inner(so3.hat(x), so3.hat(y))
-        assert abs(val - 2.0 * np.dot(x, y)) <= 1e-13
-
-
 def test_principal_angle_identity_and_axis_angle():
     rng = np.random.default_rng(8)
     C = so3.random_rotation(rng)

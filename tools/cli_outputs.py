@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 343 attkit CLI commands.
+"""Write the outputs of a fixed set of 349 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B [--units N] [--abs X]
@@ -73,7 +73,12 @@ The commands:
   the same reason;
 * a linear potential whose coeff entries are all 1e308 (see
   ``_overflowing_moment``): ``propagate``, and ``filter`` and ``montecarlo
-  --trials 3`` in both modes. They come last, for the same reason.
+  --trials 3`` in both modes. They come after the axisymmetric bodies, for
+  the same reason;
+* a second moment of 1e-310 diag(1, 2, 3), whose 1/k overflows, and an
+  integrator step of 1e-300, which asks for 5e298 steps to the first epoch
+  (see ``_out_of_range``): ``propagate``, ``filter`` and ``montecarlo
+  --trials 3`` on each. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -332,6 +337,18 @@ def _overflowing_moment(rng):
     return {"overflow_moment": run}
 
 
+def _out_of_range(rng):
+    """Free-body run files that fail before their first step: a second moment
+    whose principal moments are subnormal, and an integrator step of 1e-300."""
+    subnormal = [1e-310, 0.0, 0.0, 0.0, 2e-310, 0.0, 0.0, 0.0, 3e-310]
+    return {
+        "subnormal_inertia": _run_file(rng, potential=False, noise=NOISES["both"],
+                                       schedule="regular", inertia=subnormal),
+        "tiny_step": _run_file(rng, potential=False, noise=NOISES["both"], schedule="regular",
+                               h=1e-300),
+    }
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -382,6 +399,8 @@ def commands(inputs):
     axisymmetric = _axisymmetric(np.random.default_rng(20261029))
     files.update(axisymmetric)
     files.update(_overflowing_moment(np.random.default_rng(20261030)))
+    out_of_range = _out_of_range(np.random.default_rng(20261031))
+    files.update(out_of_range)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -459,6 +478,10 @@ def commands(inputs):
         out.append((f"filter_overflow_moment_{mode}", ["filter", *cfg("overflow_moment"), "--mode", mode]))
         out.append((f"montecarlo_overflow_moment_{mode}_3",
                     ["montecarlo", *cfg("overflow_moment"), "--mode", mode, "--trials", "3"]))
+    for name in out_of_range:  # after the overflowing moment, for the same reason
+        out.append((f"propagate_{name}", ["propagate", *cfg(name)]))
+        out.append((f"filter_{name}", ["filter", *cfg(name)]))
+        out.append((f"montecarlo_{name}_3", ["montecarlo", *cfg(name), "--trials", "3"]))
     return out
 
 
