@@ -370,8 +370,8 @@ def _float_steps(euler, g, grad, c, w, steps):
             # Stages 2 to 4: s = f a, at f = h/2, h/2, h. dexpinv(s, u) = u + 1/2
             # s x u + 1/12 s x (s x u), truncated at the order RK4 needs. The plus
             # sign on the first commutator matters: the minus one drops the scheme
-            # to order 2. The weight k, 2.0 or 1.0, multiplies exactly.
-            for f, k in stages:
+            # to order 2. The weight wt, 2.0 or 1.0, multiplies exactly.
+            for f, wt in stages:
                 s0, s1, s2 = f * a0, f * a1, f * a2
                 u0, u1, u2 = w0 + f * l0, w1 + f * l1, w2 + f * l2
                 e0, e1, e2 = s1 * u2 - s2 * u1, s2 * u0 - s0 * u2, s0 * u1 - s1 * u0
@@ -398,8 +398,8 @@ def _float_steps(euler, g, grad, c, w, steps):
                 elif grad is not None:
                     d0, d1, d2 = _moment_terms(grad(x := _rotate(c, (s0, s1, s2))), x)[1]
                     l0, l1, l2 = l0 + r0 * d0, l1 + r1 * d1, l2 + r2 * d2
-                t0, t1, t2 = t0 + k * a0, t1 + k * a1, t2 + k * a2
-                q0, q1, q2 = q0 + k * l0, q1 + k * l1, q2 + k * l2
+                t0, t1, t2 = t0 + wt * a0, t1 + wt * a1, t2 + wt * a2
+                q0, q1, q2 = q0 + wt * l0, q1 + wt * l1, q2 + wt * l2
             # The update C exp(hat(h/6 (a1 + 2 a2 + 2 a3 + a4))) and the new rate.
             c = _rotate(c, (sixth * t0, sixth * t1, sixth * t2))
             w0, w1, w2 = w0 + sixth * q0, w1 + sixth * q1, w2 + sixth * q2
