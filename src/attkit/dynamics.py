@@ -91,6 +91,9 @@ class InertiaSpec:
 
     def __post_init__(self):
         S = so3.check_spd(self.second_moment)
+        d = S.diagonal().tolist()  # floats, whose sum overflows to inf without a warning
+        if not math.isfinite(sum(d)):
+            raise NotSymmetricPD(f"second moments {d} are out of range: trace(S) is not finite")
         K = np.trace(S) * np.eye(3) - S
         # SPD: no 0 on the diagonal, so 3 non-zero entries make K diagonal
         k, R = (K.diagonal().copy(), None) if np.count_nonzero(K) == 3 else np.linalg.eigh(K)
@@ -179,6 +182,13 @@ class BodyState:
             raise ShapeMismatch(f"expected 3x3 angular velocity, got {np.shape(self.Omega)}")
         object.__setattr__(self, "C", so3.check_rotation(self.C))
         object.__setattr__(self, "Omega", so3.check_skew(self.Omega))
+
+
+def _made(cls, **fields):
+    # The frozen dataclass cls with fields as given and no __post_init__ checks.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -278,7 +288,8 @@ def propagate(
 
     Fixed step cfg.step with a final partial step; raises StepTooLarge if
     any step would rotate the body by more than pi/4, where the local
-    accuracy of the exponential update degrades.
+    accuracy of the exponential update degrades. The state it makes gets only
+    the checks that can fail: its rate finite, then its attitude a rotation.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -289,7 +300,8 @@ def propagate(
         return state
 
     C, w = _advance(inertia, potential, state.C, so3._axis(state.Omega), span, cfg.step)
-    return BodyState(t=t_end, C=C, Omega=so3.hat(_finite_rate(w, span)))
+    w = _finite_rate(w, span)  # then the attitude: hat(w) of a finite w is skew
+    return _made(BodyState, t=t_end, C=so3.check_rotation(C), Omega=so3.hat(w))
 
 
 def _finite_rate(w, span):
@@ -547,6 +559,7 @@ def validate_potential(
     return PotentialReport(max_rel_error=worst, n_samples=n_samples, passed=worst <= 1e-5)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # one that overflows is returned, not a warning
 def kinetic_energy(inertia: InertiaSpec, Omega) -> float:
     """Rotational kinetic energy 0.5 <Omega, Omega S> = 0.5 w^T K w."""
     w = so3.vee(Omega)

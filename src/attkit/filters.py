@@ -79,6 +79,7 @@ class MeasurementBatch:
     omega_weight its symmetric positive definite weight, typically assigned
     from the rate sensor error covariance; both may be absent. A reading
     whose entries or squared rate |w|^2 are not finite raises ValueError.
+    A batch the simulator makes gets only the checks it can fail (_batches).
     """
 
     t: float
@@ -95,16 +96,21 @@ class MeasurementBatch:
         w = np.ones(refs.shape[1]) if self.weights is None else self.weights
         object.__setattr__(self, "weights", wahba.check_weights(w, n=refs.shape[1]))
         if self.omega_meas is not None:
-            om = np.asarray(self.omega_meas, dtype=float)
-            flat = om.reshape(*om.shape[:-2], -1)
-            with np.errstate(over="ignore"):  # |w|^2 = |om|^2 / 2 may overflow
-                w2 = np.vecdot(0.5 * flat, flat)
-            bad = so3._first_failure(w2 < np.inf, w2)
-            if bad is not None:
-                raise ValueError(f"omega_meas: squared rate {bad} is not finite")
-            object.__setattr__(self, "omega_meas", so3.check_skew(om))
+            object.__setattr__(self, "omega_meas", _reading(self.omega_meas))
         if self.omega_weight is not None:
             object.__setattr__(self, "omega_weight", so3.check_spd(self.omega_weight))
+
+
+def _reading(om):
+    # A gyro reading's checks: its squared rate |w|^2 finite, then skew.
+    om = np.asarray(om, dtype=float)
+    flat = om.reshape(*om.shape[:-2], -1)
+    with np.errstate(over="ignore"):  # |w|^2 = |om|^2 / 2 may overflow
+        w2 = np.vecdot(0.5 * flat, flat)
+    bad = so3._first_failure(w2 < np.inf, w2)
+    if bad is not None:
+        raise ValueError(f"omega_meas: squared rate {bad} is not finite")
+    return so3.check_skew(om)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +266,7 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
             C_minus, w = _advance(inertia, potential, est.C_plus, w, span, cfg.integrator.step)
             # The checks a propagated body state gets, the rate's first.
             w = _finite_rate(w, span)
-            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.check_skew(so3.hat(w))
+            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.hat(w)  # skew: w is finite
             C_plus = update_attitude(C_minus, batch, cfg)
             if mode == "no_gyro":
                 Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)

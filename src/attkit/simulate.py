@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3, wahba
-from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, propagate
+from .dynamics import BodyState, InertiaSpec, IntegratorConfig, PotentialModel, _made, propagate
 from .errors import ShapeMismatch
-from .filters import FilterConfig, MeasurementBatch, _estimates
+from .filters import FilterConfig, MeasurementBatch, _estimates, _reading
 
 __all__ = [
     "NoiseSpec",
@@ -216,21 +216,21 @@ def _batches(truth, scn, rng, omega_weight):
     # Yield gen_batches_from_truth's batches one at a time, each built and
     # checked at its own epoch. Each epoch draws, from each generator, the
     # vector noise (3n) and then the gyro noise (3), a sensor with sigma 0
-    # nothing, in blocks of DRAW_BLOCK epochs.
-    if omega_weight is None:
-        omega_weight = np.eye(3)
+    # nothing, in blocks of DRAW_BLOCK epochs. A batch gets the checks of
+    # MeasurementBatch that can fail, in its order: the reading's, then at
+    # the first epoch omega_weight's (the scenario checked refs).
+    omega_weight = np.eye(3) if omega_weight is None else omega_weight
     noise, refs = scn.noise, scn.refs
+    weights = np.ones(refs.shape[1])
     n_vec = refs.size if noise.sigma_vec > 0.0 else 0
     n_gyro = 3 if noise.sigma_gyro > 0.0 else 0
     scales = np.repeat([noise.sigma_vec, noise.sigma_gyro], [n_vec, n_gyro])
-    for state, nu in zip(truth, _draws(rng, scales, len(truth))):
-        yield MeasurementBatch(
-            t=state.t,
-            refs=refs,
-            body=_vectors(state.C, refs, nu[..., :n_vec]),
-            omega_meas=_rate(state.Omega, nu[..., n_vec:]),
-            omega_weight=omega_weight,
-        )
+    for k, (state, nu) in enumerate(zip(truth, _draws(rng, scales, len(truth)))):
+        body = _vectors(state.C, refs, nu[..., :n_vec])
+        omega_meas = _reading(_rate(state.Omega, nu[..., n_vec:]))
+        omega_weight = so3.check_spd(omega_weight) if k == 0 else omega_weight
+        yield _made(MeasurementBatch, t=state.t, refs=refs, body=body, weights=weights,
+                    omega_meas=omega_meas, omega_weight=omega_weight)
 
 
 def simulate_scenario(

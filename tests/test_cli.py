@@ -732,6 +732,36 @@ def test_inertia_not_spd_exits_2_naming_it(tmp_path, capsys, monkeypatch, comman
     assert capsys.readouterr().err == f"error: scenario.inertia: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["propagate", "filter", "montecarlo"])
+def test_inertia_whose_trace_overflows_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = _run_file(inertia=(0.6e308 * np.eye(3)).ravel().tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(_argv(command, _write(tmp_path, "in.json", cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: scenario.inertia: second moments [6e+307, 6e+307, 6e+307] are out of range: "
+        "trace(S) is not finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--mode", "no-gyro"], ["filter", "--mode", "with-gyro"],
+    ["montecarlo", "--trials", "1"], ["montecarlo", "--trials", "3"],
+], ids=["filter-no-gyro", "filter-with-gyro", "montecarlo-1", "montecarlo-3"])
+def test_squared_rate_overflow_at_the_first_epoch_exits_2(tmp_path, capsys, argv):
+    # A one-epoch run at the initial time: the first reading is the initial
+    # rate of 1e155 rad/s, whose square overflows. propagate reports the state.
+    cfg = _run_file(init={**_scenario_dict()["init"], "omega": [1e155, 0.0, 0.0]},
+                    schedule={"times": [0.0]})
+    path = _write(tmp_path, "r.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([argv[0], "--config", path, *argv[1:]]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: omega_meas: squared rate inf is not finite\n"
+        assert cli.main(["propagate", "--config", path]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1].endswith(",1e+155,0,0,inf")
+
+
 def test_scenario_fields_are_checked_in_order(tmp_path, capsys):
     # init.omega is checked before refs, and refs before the inertia.
     edits = [

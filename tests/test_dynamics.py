@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -129,6 +130,27 @@ def test_inertia_spec_rejects_moments_whose_inverse_overflows():
         with pytest.raises(NotSymmetricPD, match=f"^{message}$"):
             InertiaSpec(1e-310 * np.diag([1.0, 2.0, 3.0]))
         InertiaSpec(1e-300 * np.diag([1.0, 2.0, 3.0]))  # 1/k is about 3e299
+
+
+@pytest.mark.parametrize("S", [0.6e308 * np.eye(3), 0.6e308 * np.array(
+    [[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])], ids=["diagonal", "off-diagonal"])
+def test_inertia_spec_names_second_moments_whose_trace_overflows(S):
+    # S is SPD, but trace(S) I - S is not finite: the moments are named before
+    # K is formed, with no numpy warning and no LinAlgError from eigh.
+    message = re.escape("second moments [6e+307, 6e+307, 6e+307] are out of range: "
+                        "trace(S) is not finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetricPD, match=f"^{message}$"):
+            InertiaSpec(S)
+        assert InertiaSpec(0.5e308 * np.eye(3)).moments.tolist() == [1e308] * 3
+
+
+def test_kinetic_energy_that_overflows_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = kinetic_energy(InertiaSpec(np.diag([1.0, 2.0, 3.0])), so3.hat([1e155, 0, 0]))
+    assert energy == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +661,28 @@ def test_propagate_names_a_rate_that_is_not_finite():
                r"\(is the potential's gradient or the inertia out of range\?\)$")
     with pytest.raises(PotentialGradientNotSkewCompatible, match=message):
         propagate(state, InertiaSpec(np.diag([1.0, 2.0, 3.0])), pot, 0.05)
+
+
+@pytest.mark.parametrize("potential", ["free", "linear", "undeclared"])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "full"])
+def test_propagated_state_equals_a_body_state_of_the_same_values(diagonal, potential):
+    # propagate makes its state without BodyState's checks; it must equal the
+    # BodyState of the same values, field by field, and stay frozen.
+    rng = np.random.default_rng(83)
+    inertia = InertiaSpec(np.diag([1.0, 2.0, 3.0]) if diagonal else _random_spd(rng))
+    A = rng.normal(0.0, 0.5, (3, 3))
+    pot = {"free": zero_potential(), "linear": linear_potential(A),
+           "undeclared": PotentialModel(value=lambda C: 0.0, gradient=lambda C: A)}[potential]
+    state = BodyState(0.25, so3.random_rotation(rng), so3.hat([0.8, -0.5, 1.0]))
+    got = propagate(state, inertia, pot, 0.3205)
+    C, w = dynamics._advance(inertia, pot, state.C, so3._axis(state.Omega), 0.3205 - 0.25, 1e-3)
+    expected = BodyState(t=0.3205, C=C, Omega=so3.hat(w))
+    assert type(got) is BodyState and type(got.t) is type(expected.t) and got.t == expected.t
+    for a, b in ((got.C, expected.C), (got.Omega, expected.Omega)):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (3, 3)
+        assert np.array_equal(a, b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.t = 0.0
 
 
 def test_finite_rate_names_the_first_trial_whose_rate_is_not_finite():

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from attkit import filters, so3, wahba
+from attkit import dynamics, filters, so3, wahba
 from attkit.dynamics import (
     BodyState,
     InertiaSpec,
@@ -477,6 +478,26 @@ def test_run_filter_names_a_propagated_rate_that_is_not_finite(mode):
     message = r"^rate \[nan, nan, nan\] rad/s is not finite after a time span of 0\.05 s "
     with pytest.raises(PotentialGradientNotSkewCompatible, match=message):
         run_filter(None, batches, scn.inertia, pot, FilterConfig(), mode=mode)
+
+
+@pytest.mark.parametrize("site", ["propagate", "epoch_loop"])
+def test_a_propagated_state_checks_its_rate_then_its_attitude(monkeypatch, site):
+    # The checks a state made by propagation keeps, in order, with an _advance
+    # that returns 1.1 C: a rate that is not finite is named before the
+    # attitude, and a finite rate leaves the attitude to check_rotation.
+    scn = _scenario(sigma_vec=1e-3, count=3)
+    _, batches = simulate_scenario(scn)
+    module = dynamics if site == "propagate" else filters
+    for rate, error, message in (
+        ((0.1, math.nan, 0.3), PotentialGradientNotSkewCompatible, r"^rate \[0\.1, nan, 0\.3\] "),
+        ((0.1, 0.2, 0.3), NotRotation, r"^orthogonality residual 2\.100e-01 exceeds 1\.0e-09$"),
+    ):
+        monkeypatch.setattr(module, "_advance", lambda *a, rate=rate: (1.1 * a[2], rate))
+        with pytest.raises(error, match=message):
+            if site == "propagate":
+                propagate(scn.init, scn.inertia, scn.potential, 0.05)
+            else:
+                run_filter(None, batches, scn.inertia, scn.potential, FilterConfig())
 
 
 @pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])

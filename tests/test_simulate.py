@@ -1,19 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from attkit import so3
-from attkit.dynamics import BodyState, InertiaSpec, kinetic_energy, zero_potential
+from attkit.dynamics import (BodyState, InertiaSpec, IntegratorConfig, StepTooLarge,
+                             kinetic_energy, zero_potential)
+from attkit.errors import NotSkew, NotSymmetricPD
+from attkit.filters import FilterConfig, MeasurementBatch
 from attkit.simulate import (
     DRAW_BLOCK,
     NoiseSpec,
     ScenarioSpec,
+    _batches,
     _draws,
+    _rate,
+    _vectors,
     clustered_references,
     gen_batches_from_truth,
     gen_gyro_measurement,
     gen_truth,
     gen_vector_measurements,
     make_rng,
+    run_metrics,
     simulate_scenario,
 )
 
@@ -289,3 +298,119 @@ def test_blocked_draws_equal_per_epoch_draws(sigmas, trials):
         # Each generator drew what the per-epoch draws drew, nothing for a
         # sensor without noise, and no more: the streams go on alike.
         assert rngs[i].standard_normal() == public.standard_normal() == plain.standard_normal()
+
+
+# ---------------------------------------------------------------------------
+# the checks a simulated batch keeps
+
+def _one_epoch(omega, sigma_gyro, t=0.0):
+    # A run whose one epoch is at the initial state's time: its truth is the
+    # initial state itself, and its reading the initial rate plus noise.
+    return ScenarioSpec(
+        refs=clustered_references(7, 0.3, rng=make_rng(17)),
+        inertia=InertiaSpec(np.diag([1.0, 2.0, 3.0])),
+        potential=zero_potential(),
+        init=BodyState(0.0, np.eye(3), omega),
+        schedule=np.array([t]),
+        noise=NoiseSpec(sigma_gyro=sigma_gyro),
+    )
+
+
+def _metrics(scn, trials, seed, omega_weight=None, mode="no_gyro", integ=IntegratorConfig()):
+    return run_metrics(scn, FilterConfig(), omega_weight, integ, mode, trials, seed)
+
+
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_a_noise_free_reading_whose_squared_rate_overflows_is_named(trials, mode):
+    # A finite rate of 1e155 rad/s: the state is valid, but its reading's
+    # squared rate is not finite, in either mode, as every batch has one.
+    scn = _one_epoch(so3.hat([1e155, 0.0, 0.0]), sigma_gyro=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^omega_meas: squared rate inf is not finite$"):
+            _metrics(scn, trials, 0, mode=mode)
+
+
+# A user's rate that is skew within SKEW_TOL, with entries just under 8192;
+# noise carries both over it, where the ulp doubles, and the reading is not.
+_NEAR_SKEW = np.zeros((3, 3))
+_NEAR_SKEW[1, 0], _NEAR_SKEW[0, 1] = 8191.999999999998, -8191.999999999997
+
+
+@pytest.mark.parametrize("trials, seed, fails", [
+    (1, 0, False), (1, 2, True), (3, 0, True), (3, 1, True),
+])
+def test_a_noisy_reading_of_a_near_skew_rate_is_checked_skew(trials, seed, fails):
+    assert 0.0 < np.abs(_NEAR_SKEW + _NEAR_SKEW.T).max() <= so3.SKEW_TOL
+    scn = _one_epoch(_NEAR_SKEW, sigma_gyro=0.005)
+    if not fails:  # the same run with a draw that leaves the reading skew
+        assert np.isfinite(_metrics(scn, trials, seed)).all()
+        return
+    with pytest.raises(NotSkew, match=r"^symmetry residual 1\.819e-12 exceeds 1\.0e-12$"):
+        _metrics(scn, trials, seed)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_a_reading_is_checked_before_the_rate_weight(trials):
+    # The first batch checks its reading, then the weight, as MeasurementBatch does.
+    scn = _one_epoch(so3.hat([1e155, 0.0, 0.0]), sigma_gyro=0.0)
+    with pytest.raises(ValueError, match=r"^omega_meas: squared rate inf is not finite$"):
+        _metrics(scn, trials, 0, omega_weight=-np.eye(3))
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_a_rate_weight_that_is_not_spd_is_named_at_the_first_batch(trials):
+    scn = _one_epoch(so3.hat([1.0, 2.0, 0.5]), sigma_gyro=0.005, t=0.5)
+    with pytest.raises(NotSymmetricPD, match=r"^smallest eigenvalue -1\.0 is not positive$"):
+        _metrics(scn, trials, 0, omega_weight=-np.eye(3))
+    # The truth is propagated first: its failure, one 0.5 s step of 1.15 rad,
+    # comes before the weight's.
+    with pytest.raises(StepTooLarge):
+        _metrics(scn, trials, 0, omega_weight=-np.eye(3), integ=IntegratorConfig(step=100.0))
+    # A batch is checked when drawn: the generator raises at its first batch.
+    drawn = _batches(gen_truth(scn), scn, make_rng(0), -np.eye(3))
+    with pytest.raises(NotSymmetricPD):
+        next(drawn)
+
+
+# ---------------------------------------------------------------------------
+# simulated batches equal public ones
+
+def _public_batches(truth, scn, rng, omega_weight):
+    # Each epoch's batch built by MeasurementBatch, from the same draws.
+    noise, refs = scn.noise, scn.refs
+    n_vec = refs.size if noise.sigma_vec > 0.0 else 0
+    n_gyro = 3 if noise.sigma_gyro > 0.0 else 0
+    scales = np.repeat([noise.sigma_vec, noise.sigma_gyro], [n_vec, n_gyro])
+    return [MeasurementBatch(t=state.t, refs=refs, body=_vectors(state.C, refs, nu[..., :n_vec]),
+                             omega_meas=_rate(state.Omega, nu[..., n_vec:]),
+                             omega_weight=np.eye(3) if omega_weight is None else omega_weight)
+            for state, nu in zip(truth, _draws(rng, scales, len(truth)))]
+
+
+@pytest.mark.parametrize("omega_weight", [None, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0, 0, 3]]],
+                         ids=["default", "list"])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize(
+    "sigmas", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.02), (0.01, 0.02)],
+    ids=["none", "vec", "gyro", "both"],
+)
+def test_simulated_batches_equal_measurement_batches(sigmas, trials, omega_weight):
+    scn = _scenario(noise=NoiseSpec(*sigmas), count=DRAW_BLOCK + 2)
+    truth = gen_truth(scn)
+
+    def rng():
+        rngs = [make_rng(70 + i) for i in range(trials)]
+        return rngs[0] if trials == 1 else rngs
+
+    got = gen_batches_from_truth(truth, scn, rng(), omega_weight)
+    expected = _public_batches(truth, scn, rng(), omega_weight)
+    assert len(got) == len(expected) == len(truth)
+    for g, e in zip(got, expected):
+        assert type(g) is MeasurementBatch
+        assert type(g.t) is type(e.t) and g.t == e.t
+        for name in ("refs", "body", "weights", "omega_meas", "omega_weight"):
+            a, b = getattr(g, name), getattr(e, name)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+            assert np.array_equal(a, b), name

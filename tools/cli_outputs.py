@@ -1,4 +1,4 @@
-"""Write the outputs of a fixed set of 349 attkit CLI commands.
+"""Write the outputs of a fixed set of 363 attkit CLI commands.
 
     python tools/cli_outputs.py SRC OUTDIR
     python tools/cli_outputs.py --compare OUTDIR_A OUTDIR_B [--units N] [--abs X]
@@ -78,7 +78,13 @@ The commands:
 * a second moment of 1e-310 diag(1, 2, 3), whose 1/k overflows, and an
   integrator step of 1e-300, which asks for 5e298 steps to the first epoch
   (see ``_out_of_range``): ``propagate``, ``filter`` and ``montecarlo
-  --trials 3`` on each. They come last, for the same reason.
+  --trials 3`` on each. They come after the overflowing moment, for the
+  same reason;
+* a one-epoch run at the initial time whose rate of 1e155 rad/s has a
+  squared rate that overflows, and a second moment of 0.6e308 I, whose
+  trace overflows (see ``_overflowing_state``): ``propagate``, ``filter``
+  in both modes, and ``montecarlo`` in both modes with ``--trials`` 1 and
+  3. They come last, for the same reason.
 """
 
 from __future__ import annotations
@@ -349,6 +355,22 @@ def _out_of_range(rng):
     }
 
 
+def _overflowing_state(rng):
+    """Run files whose state is finite but too large: a one-epoch run at the
+    initial time whose rate of 1e155 rad/s gives a gyro reading with no noise
+    and a squared rate that overflows, and a second moment of 0.6e308 I,
+    whose trace overflows."""
+    rate = _run_file(rng, potential=False, noise=NOISES["vec"], schedule="regular",
+                     omega=[1e155, 0.0, 0.0])
+    rate["scenario"]["schedule"] = {"times": [0.0]}
+    huge = [0.6e308, 0.0, 0.0, 0.0, 0.6e308, 0.0, 0.0, 0.0, 0.6e308]
+    return {
+        "rate_overflow": rate,
+        "huge_inertia": _run_file(rng, potential=False, noise=NOISES["both"],
+                                  schedule="regular", inertia=huge),
+    }
+
+
 def commands(inputs):
     """Write the input files into inputs; return (label, argv) pairs."""
     files = {}
@@ -401,6 +423,8 @@ def commands(inputs):
     files.update(_overflowing_moment(np.random.default_rng(20261030)))
     out_of_range = _out_of_range(np.random.default_rng(20261031))
     files.update(out_of_range)
+    overflowing_state = _overflowing_state(np.random.default_rng(20261032))
+    files.update(overflowing_state)
     for name, cfg in files.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1)
@@ -482,6 +506,13 @@ def commands(inputs):
         out.append((f"propagate_{name}", ["propagate", *cfg(name)]))
         out.append((f"filter_{name}", ["filter", *cfg(name)]))
         out.append((f"montecarlo_{name}_3", ["montecarlo", *cfg(name), "--trials", "3"]))
+    for name in overflowing_state:  # after the out-of-range runs, for the same reason
+        out.append((f"propagate_{name}", ["propagate", *cfg(name)]))
+        for mode in MODES:
+            out.append((f"filter_{name}_{mode}", ["filter", *cfg(name), "--mode", mode]))
+            for trials in (1, 3):
+                out.append((f"montecarlo_{name}_{mode}_{trials}",
+                            ["montecarlo", *cfg(name), "--mode", mode, "--trials", str(trials)]))
     return out
 
 
