@@ -114,6 +114,9 @@ class InertiaSpec:
         """Build from a classical inertia matrix (must map back to a positive
         definite second moment, which excludes degenerate flat bodies)."""
         K = so3.check_spd(K)
+        d = K.diagonal().tolist()  # floats, as in __post_init__
+        if not math.isfinite(sum(d)):
+            raise NotSymmetricPD(f"classical moments {d} are out of range: trace(K) is not finite")
         return cls(0.5 * np.trace(K) * np.eye(3) - K)
 
 
@@ -286,10 +289,10 @@ def propagate(
 ) -> BodyState:
     """Integrate the attitude dynamics from state.t to t_end.
 
-    Fixed step cfg.step with a final partial step; raises StepTooLarge if
-    any step would rotate the body by more than pi/4, where the local
-    accuracy of the exponential update degrades. The state it makes gets only
-    the checks that can fail: its rate finite, then its attitude a rotation.
+    Fixed step cfg.step with a final partial step; raises StepTooLarge if any
+    step would rotate the body by more than pi/4, where the exponential update
+    loses accuracy. The state, like each estimate run_filter propagates, gets
+    only the checks that can fail: its rate finite, then its attitude a rotation.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -299,27 +302,26 @@ def propagate(
     if span == 0.0:
         return state
 
-    C, w = _advance(inertia, potential, state.C, so3._axis(state.Omega), span, cfg.step)
-    w = _finite_rate(w, span)  # then the attitude: hat(w) of a finite w is skew
-    return _made(BodyState, t=t_end, C=so3.check_rotation(C), Omega=so3.hat(w))
+    C, Omega = _propagated(inertia, potential, state.C, state.Omega, span, cfg.step)
+    return _made(BodyState, t=t_end, C=C, Omega=Omega)
 
 
-def _finite_rate(w, span):
-    # The rate _advance returned, checked before its attitude: a NaN rate
-    # passes the pi/4 guard, and the attitude it leaves fails as a matrix
-    # that is not a rotation, which names neither the rate nor its cause.
-    # Raises on the first trial of a stack whose rate is not finite. One
-    # body's three floats are finite if their sum is, which costs 0.1 us
-    # where numpy's check costs 5 us.
-    if not getattr(w[0], "ndim", 0) and math.isfinite(w[0] + w[1] + w[2]):
-        return w
-    bad = so3._first_failure(np.isfinite(w).all(axis=0), np.transpose(w))
-    if bad is not None:
-        raise PotentialGradientNotSkewCompatible(
-            f"rate {[float(x) for x in bad]} rad/s is not finite after a time span of "
-            f"{span:.6g} s (is the potential's gradient or the inertia out of range?)"
-        )
-    return w
+def _propagated(inertia, potential, C, Omega, span, h):
+    # (C, Omega) advanced over span by _advance, its one caller, then checked:
+    # the rate finite first, as a NaN rate passes the pi/4 guard and leaves an
+    # attitude that fails as no rotation, naming neither the rate nor its cause;
+    # then the attitude. hat(w) of a finite w is skew. One body's three floats
+    # are finite if their sum is, which costs 0.1 us where numpy's check costs
+    # 5 us. A stack raises on its first trial whose rate is not finite.
+    C, w = _advance(inertia, potential, C, so3._axis(Omega), span, h)
+    if getattr(w[0], "ndim", 0) or not math.isfinite(w[0] + w[1] + w[2]):
+        bad = so3._first_failure(np.isfinite(w).all(axis=0), np.transpose(w))
+        if bad is not None:
+            raise PotentialGradientNotSkewCompatible(
+                f"rate {[float(x) for x in bad]} rad/s is not finite after a time span of "
+                f"{span:.6g} s (is the potential's gradient or the inertia out of range?)"
+            )
+    return so3.check_rotation(C), so3.hat(w)
 
 
 def _advance(inertia, potential, C, w, span, h):

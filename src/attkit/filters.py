@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3, wahba
-from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel, _advance, _finite_rate
+from . import dynamics, so3, wahba
+from .dynamics import InertiaSpec, IntegratorConfig, PotentialModel
 from .errors import InconsistentUpdate, MissingGyro
 
 __all__ = [
@@ -253,8 +253,8 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
     """Yield each batch of any iterable with its estimate: the one epoch loop.
 
     The first estimate is initial_estimate(batch, C0, Omega0); every later one
-    propagates the previous plus estimate to batch.t, then updates. Stacked
-    estimates or batches advance B trials at once, each check per trial."""
+    propagates the previous plus estimate to batch.t as propagate does, then
+    updates. Stacked estimates or batches advance B trials, each check per trial."""
     if mode not in ("no_gyro", "with_gyro"):
         raise ValueError(f"unknown filter mode {mode!r}")
     est = None
@@ -262,11 +262,9 @@ def _estimates(batches, inertia, potential, cfg: FilterConfig, mode, C0=None, Om
         if est is None:
             est = initial_estimate(batch, C0, Omega0)
         else:
-            w, span = so3._axis(est.Omega_plus), batch.t - est.t
-            C_minus, w = _advance(inertia, potential, est.C_plus, w, span, cfg.integrator.step)
-            # The checks a propagated body state gets, the rate's first.
-            w = _finite_rate(w, span)
-            C_minus, Omega_minus = so3.check_rotation(C_minus), so3.hat(w)  # skew: w is finite
+            C_minus, Omega_minus = dynamics._propagated(
+                inertia, potential, est.C_plus, est.Omega_plus, batch.t - est.t,
+                cfg.integrator.step)
             C_plus = update_attitude(C_minus, batch, cfg)
             if mode == "no_gyro":
                 Omega_plus = update_omega_no_gyro(C_minus, C_plus, Omega_minus, cfg.Pi)

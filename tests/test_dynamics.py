@@ -146,6 +146,20 @@ def test_inertia_spec_names_second_moments_whose_trace_overflows(S):
         assert InertiaSpec(0.5e308 * np.eye(3)).moments.tolist() == [1e308] * 3
 
 
+@pytest.mark.parametrize("K", [1.2e308 * np.eye(3), 1.2e308 * np.array(
+    [[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])], ids=["diagonal", "off-diagonal"])
+def test_from_classical_names_classical_moments_whose_trace_overflows(K):
+    # K is SPD, but 0.5 trace(K) I - K is not finite: K's diagonal is named
+    # before it is formed, with no numpy warning and no symmetry residual nan.
+    message = re.escape("classical moments [1.2e+308, 1.2e+308, 1.2e+308] are out of range: "
+                        "trace(K) is not finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetricPD, match=f"^{message}$"):
+            InertiaSpec.from_classical(K)
+        assert InertiaSpec.from_classical(0.5e308 * np.eye(3)).moments.tolist() == [0.5e308] * 3
+
+
 def test_kinetic_energy_that_overflows_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -685,15 +699,23 @@ def test_propagated_state_equals_a_body_state_of_the_same_values(diagonal, poten
         got.t = 0.0
 
 
-def test_finite_rate_names_the_first_trial_whose_rate_is_not_finite():
+def test_finite_rate_names_the_first_trial_whose_rate_is_not_finite(monkeypatch):
+    # dynamics._propagated checks the rate _advance returns, here patched.
+    def propagated(w):
+        C = np.eye(3) if np.ndim(w[0]) == 0 else np.stack([np.eye(3)] * len(w[0]))
+        monkeypatch.setattr(dynamics, "_advance", lambda *a: (C, w))
+        Omega = dynamics._propagated(InertiaSpec(np.eye(3)), zero_potential(), C, so3.hat(w),
+                                     0.05, 1e-3)[1]
+        return tuple(so3._axis(Omega).tolist())
+
     w = (np.array([0.1, 0.2, 0.3]), np.array([0.0, np.inf, np.nan]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(PotentialGradientNotSkewCompatible, match=r"^rate \[0\.2, inf, 1\.0\] "):
-        dynamics._finite_rate(w, 0.05)
-    assert dynamics._finite_rate((0.1, -0.2, 0.3), 0.05) == (0.1, -0.2, 0.3)
+        propagated(w)
+    assert propagated((0.1, -0.2, 0.3)) == (0.1, -0.2, 0.3)
     # Finite, though their sum overflows: the fast check's fallback passes it.
-    assert dynamics._finite_rate((1e308, 1e308, 0.0), 0.05) == (1e308, 1e308, 0.0)
+    assert propagated((1e308, 1e308, 0.0)) == (1e308, 1e308, 0.0)
     with pytest.raises(PotentialGradientNotSkewCompatible, match=r"^rate \[0\.1, nan, 0\.3\] "):
-        dynamics._finite_rate((0.1, math.nan, 0.3), 0.05)
+        propagated((0.1, math.nan, 0.3))
 
 
 # ---------------------------------------------------------------------------

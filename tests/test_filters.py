@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from attkit import dynamics, filters, so3, wahba
+from attkit import dynamics, so3, wahba
 from attkit.dynamics import (
     BodyState,
     InertiaSpec,
     IntegratorConfig,
+    PotentialModel,
     linear_potential,
     propagate,
     zero_potential,
@@ -390,6 +391,34 @@ def test_run_filter_with_gyro_matches_a_loop_of_the_public_updates():
         state = BodyState(batch.t, C_plus, Omega_plus)
 
 
+@pytest.mark.parametrize("mode", ["no_gyro", "with_gyro"])
+@pytest.mark.parametrize("potential", ["free", "linear", "undeclared"])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "full"])
+def test_each_minus_estimate_is_propagate_of_the_previous_plus_estimate(diagonal, potential, mode):
+    # The epoch loop and propagate advance and check a state through one
+    # routine, so each epoch's minus estimate is propagate's state bit for bit.
+    rng = make_rng(29)
+    A = rng.normal(0.0, 0.5, (3, 3))
+    pot = {"free": zero_potential(), "linear": linear_potential(A),
+           "undeclared": PotentialModel(value=lambda C: 0.0, gradient=lambda C: A)}[potential]
+    scn = ScenarioSpec(
+        refs=clustered_references(7, 0.25, axis=(0.4, -0.3, 0.85), rng=rng),
+        inertia=InertiaSpec(np.diag([1.0, 2.0, 3.0]) if diagonal else _random_spd(rng)),
+        potential=pot,
+        init=BodyState(0.0, so3.random_rotation(rng), so3.hat([0.8, -0.5, 1.0])),
+        schedule=0.05 * np.arange(1, 7),
+        noise=NoiseSpec(sigma_vec=2e-3, sigma_gyro=1e-2, seed=5),
+    )
+    integ = IntegratorConfig(step=5e-3)
+    _, batches = simulate_scenario(scn, cfg=integ)
+    ests = run_filter(None, batches, scn.inertia, pot, FilterConfig(integrator=integ), mode=mode)
+    for prev, est in zip(ests, ests[1:]):
+        prior = propagate(BodyState(prev.t, prev.C_plus, prev.Omega_plus), scn.inertia, pot,
+                          est.t, integ)
+        assert np.array_equal(est.C_minus, prior.C)
+        assert np.array_equal(est.Omega_minus, prior.Omega)
+
+
 def test_run_filter_requires_gyro_fields_in_gyro_mode():
     scn = _scenario(count=3)
     _, batches = simulate_scenario(scn)
@@ -461,7 +490,7 @@ def test_run_filter_rejects_a_non_rotation_initial_attitude_before_propagating(
     _, batches = simulate_scenario(scn)
     est = initial_estimate(batches[0])
     bad = FilterEstimate(est.t, C_plus, C_plus, est.Omega_minus, est.Omega_plus)
-    monkeypatch.setattr(filters, "_advance", lambda *a: pytest.fail("propagated"))
+    monkeypatch.setattr(dynamics, "_advance", lambda *a: pytest.fail("propagated"))
     with pytest.raises(NotRotation):
         run_filter(bad, batches, scn.inertia, scn.potential, FilterConfig())
 
@@ -484,15 +513,15 @@ def test_run_filter_names_a_propagated_rate_that_is_not_finite(mode):
 def test_a_propagated_state_checks_its_rate_then_its_attitude(monkeypatch, site):
     # The checks a state made by propagation keeps, in order, with an _advance
     # that returns 1.1 C: a rate that is not finite is named before the
-    # attitude, and a finite rate leaves the attitude to check_rotation.
+    # attitude, and a finite rate leaves the attitude to check_rotation. Both
+    # sites step through dynamics._advance, the one patch point.
     scn = _scenario(sigma_vec=1e-3, count=3)
     _, batches = simulate_scenario(scn)
-    module = dynamics if site == "propagate" else filters
     for rate, error, message in (
         ((0.1, math.nan, 0.3), PotentialGradientNotSkewCompatible, r"^rate \[0\.1, nan, 0\.3\] "),
         ((0.1, 0.2, 0.3), NotRotation, r"^orthogonality residual 2\.100e-01 exceeds 1\.0e-09$"),
     ):
-        monkeypatch.setattr(module, "_advance", lambda *a, rate=rate: (1.1 * a[2], rate))
+        monkeypatch.setattr(dynamics, "_advance", lambda *a, rate=rate: (1.1 * a[2], rate))
         with pytest.raises(error, match=message):
             if site == "propagate":
                 propagate(scn.init, scn.inertia, scn.potential, 0.05)

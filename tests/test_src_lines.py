@@ -1,4 +1,4 @@
-"""tools/src_lines.py: non-blank lines per attkit module."""
+"""tools/src_lines.py: non-blank lines and code lines per attkit module."""
 
 import importlib.util
 import os
@@ -21,18 +21,47 @@ def test_one_tree_counts_non_blank_lines(tmp_path, capsys):
     src = _src(tmp_path, {"so3": "a = 1\n\n   \nb = 2\n", "cli": "x = 0\n"})
     assert src_lines.main([src]) == 0
     assert capsys.readouterr().out.split("\n") == [
-        f"{'cli':16} {1:6}", f"{'so3':16} {2:6}", f"{'total':16} {3:6}", ""]
+        f"{'cli':16} {1:6} {1:6}", f"{'so3':16} {2:6} {2:6}", f"{'total':16} {3:6} {3:6}", ""]
+
+
+def test_docstrings_and_comments_are_not_code_lines(tmp_path, capsys):
+    text = (
+        '"""Module docstring,\n'
+        '\n'
+        'on two non-blank lines."""\n'
+        '# A comment line.\n'
+        'import math  # code with a comment\n'
+        '\n'
+        '\n'
+        'def f(x):\n'
+        '    """One-line docstring."""\n'
+        '    # Another comment.\n'
+        '    s = """a string,\n'
+        '    not a docstring"""\n'
+        '    return s\n'
+        '\n'
+        '\n'
+        'class A:\n'
+        '    """Class docstring."""\n'
+        '\n'
+        '    y = 1\n'
+    )
+    assert src_lines.module_counts(text) == (13, 7)
+    src = _src(tmp_path, {"so3": text})
+    assert src_lines.main([src]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        f"{'so3':16} {13:6} {7:6}", f"{'total':16} {13:6} {7:6}", ""]
 
 
 def test_two_trees_give_the_change_per_module(tmp_path, capsys):
     old = _src(tmp_path / "old", {"so3": "a = 1\nb = 2\n", "gone": "x = 0\n"})
-    new = _src(tmp_path / "new", {"so3": "a = 1\n", "added": "y = 1\nz = 2\n"})
+    new = _src(tmp_path / "new", {"so3": "a = 1\n# c\n", "added": "y = 1\nz = 2\n"})
     assert src_lines.main([old, new]) == 0
     assert capsys.readouterr().out.split("\n") == [
-        f"{'added':16} {0:6} {2:6} {2:+6}",
-        f"{'gone':16} {1:6} {0:6} {-1:+6}",
-        f"{'so3':16} {2:6} {1:6} {-1:+6}",
-        f"{'total':16} {3:6} {3:6} {0:+6}",
+        f"{'added':16} {0:6} {2:6} {2:+6} {0:6} {2:6} {2:+6}",
+        f"{'gone':16} {1:6} {0:6} {-1:+6} {1:6} {0:6} {-1:+6}",
+        f"{'so3':16} {2:6} {2:6} {0:+6} {2:6} {1:6} {-1:+6}",
+        f"{'total':16} {3:6} {4:6} {1:+6} {3:6} {3:6} {0:+6}",
         "",
     ]
 
